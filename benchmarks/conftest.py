@@ -9,8 +9,15 @@ Engine preset: ``CLAPTON_BENCH_PRESET`` env var (``smoke``/``fast``/``paper``,
 default ``fast``).  EXPERIMENTS.md records results from the default preset.
 """
 
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+# test-support oracles (e.g. the unfused dense walk) live with the tests;
+# appended so this directory's own modules win any name clash
+sys.path.append(str(Path(__file__).resolve().parent.parent / "tests"))
 
 
 def run_once(benchmark, fn):

@@ -1,18 +1,17 @@
 """Batched density-matrix evolution: one noisy run for a whole theta batch.
 
-The scalar :class:`~repro.densesim.density_matrix.DensityMatrixSimulator`
-pays the full per-instruction Python/numpy dispatch cost for every
-parameter point.  At the package's working sizes (6-10 qubits) that
-dispatch -- not the arithmetic -- dominates, so evaluating a GA population
-or an SPSA sweep point-by-point wastes almost all of its wall time.
+The scalar device-model path pays its fused-block dispatch once per
+parameter point.  At the package's working sizes (6-7 qubits) that
+dispatch -- not the arithmetic -- dominates, so evaluating a GA
+population or an SPSA sweep point by point wastes most of its wall time.
 
 This module stacks ``B`` density matrices into one ``(B, 2^n, 2^n)``
-tensor and evolves them together: every gate, channel, and idle-relaxation
-application is a single broadcast numpy operation across the batch, so the
-per-instruction overhead is paid once per *batch* instead of once per
-*point*.  Parameterized rotations take a vector of per-point angles; all
-noise channels are parameter-independent (they depend only on the gate's
-name and qubits), which is what makes the shared walk exact.
+tensor and evolves them through one compiled schedule
+(:mod:`repro.densesim.schedule`): each block is a single batched matmul,
+with per-point rotation angles folded into ``(B, 16, 16)`` block
+superoperators.  All noise channels are parameter-independent (they depend
+only on the gate's name and qubits), which is what makes the shared walk
+exact.
 
 Points in a batch must share a circuit *structure* (the same instruction
 sequence after identity-rotation dropping); the estimator layer groups
@@ -21,284 +20,58 @@ points by structure signature before calling in here.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 from ..circuits.circuit import Instruction
 from ..noise.model import NoiseModel
-from .statevector import _masks
-
-
-def _is_zero(value) -> bool:
-    """True when a matrix entry (scalar or per-point array) is exactly 0."""
-    if isinstance(value, np.ndarray):
-        return not value.any()
-    return value == 0
-
-
-def rotation_matrices(name: str, angles: np.ndarray) -> np.ndarray:
-    """Per-point ``(B, 2, 2)`` matrices of one rotation gate family."""
-    angles = np.asarray(angles, dtype=float)
-    half = angles / 2.0
-    out = np.empty((len(angles), 2, 2), dtype=complex)
-    if name == "rx":
-        c, s = np.cos(half), np.sin(half)
-        out[:, 0, 0] = c
-        out[:, 0, 1] = -1j * s
-        out[:, 1, 0] = -1j * s
-        out[:, 1, 1] = c
-    elif name == "ry":
-        c, s = np.cos(half), np.sin(half)
-        out[:, 0, 0] = c
-        out[:, 0, 1] = -s
-        out[:, 1, 0] = s
-        out[:, 1, 1] = c
-    elif name == "rz":
-        phase = np.exp(-1j * half)
-        out[:, 0, 0] = phase
-        out[:, 0, 1] = 0.0
-        out[:, 1, 0] = 0.0
-        out[:, 1, 1] = np.conj(phase)
-    else:
-        raise ValueError(f"unknown rotation gate {name!r}")
-    return out
+from .density_matrix import PauliReadout
+from .schedule import ScheduleCompiler, check_dense_fits, compiler_for
 
 
 class BatchedDensityMatrixSimulator:
     """``B`` mixed states on ``num_qubits`` qubits, evolved in lockstep.
 
-    The state tensor has shape ``(B,) + (2,) * 2n``: axis 0 is the batch,
-    axes ``1..n`` the row (ket) qubits, axes ``n+1..2n`` the column (bra)
-    qubits -- the batched twin of the scalar simulator's layout.
+    ``tensor`` has shape ``(B, 2^n, 2^n)``: one density matrix per point.
     """
 
-    def __init__(self, num_qubits: int, batch_size: int):
+    def __init__(self, num_qubits: int, batch_size: int,
+                 tensor: np.ndarray | None = None):
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
         if batch_size < 1:
             raise ValueError("need at least one batch point")
+        check_dense_fits(num_qubits, batch_size)
         self.num_qubits = int(num_qubits)
         self.batch_size = int(batch_size)
-        shape = (self.batch_size,) + (2,) * (2 * self.num_qubits)
-        self.tensor = np.zeros(shape, dtype=complex)
-        self.tensor.reshape(self.batch_size, -1)[:, 0] = 1.0
+        dim = 2 ** self.num_qubits
+        if tensor is None:
+            tensor = np.zeros((self.batch_size, dim, dim), dtype=complex)
+            tensor[:, 0, 0] = 1.0
+        self.tensor = tensor.reshape(self.batch_size, dim, dim)
 
-    # ------------------------------------------------------------------
-    # Axis helpers
-    # ------------------------------------------------------------------
-    def _row(self, q: int) -> int:
-        return 1 + q
-
-    def _col(self, q: int) -> int:
-        return 1 + self.num_qubits + q
-
-    def _slice(self, axis: int, value: int) -> tuple:
-        return (slice(None),) * axis + (value,)
-
-    def _apply_fixed(self, matrix: np.ndarray, axes: tuple[int, ...]) -> None:
-        """Left-multiply one fixed ``2^k x 2^k`` matrix onto tensor axes."""
-        if len(axes) == 1:
-            self._apply_1q_axis(matrix[0, 0], matrix[0, 1],
-                                matrix[1, 0], matrix[1, 1], axes[0])
-            return
-        k = len(axes)
-        mat_t = matrix.reshape((2,) * (2 * k))
-        out = np.tensordot(mat_t, self.tensor,
-                           axes=(tuple(range(k, 2 * k)), axes))
-        # tensordot result: matrix row axes first, batch + rest after
-        self.tensor = np.ascontiguousarray(
-            np.moveaxis(out, tuple(range(k)), axes))
-
-    def _apply_1q_axis(self, a, b, c, d, axis: int) -> None:
-        """In-place 1q left-multiply on one tensor axis.
-
-        ``a..d`` are the matrix entries -- scalars (shared matrix) or
-        ``(B,)``-broadcastable arrays (per-point matrices).  Slice views
-        keep the state contiguous: no transposition copies on the 2^n-sized
-        working set, which is what makes the batch win at larger n.
-        """
-        i0 = self._slice(axis, 0)
-        i1 = self._slice(axis, 1)
-        v0 = self.tensor[i0]
-        v1 = self.tensor[i1]
-        if _is_zero(b) and _is_zero(c):  # diagonal gate (rz): pure scaling
-            self.tensor[i0] = a * v0
-            self.tensor[i1] = d * v1
-            return
-        new0 = a * v0 + b * v1
-        new1 = c * v0 + d * v1
-        self.tensor[i0] = new0
-        self.tensor[i1] = new1
-
-    def _apply_per_point(self, matrices: np.ndarray, axis: int) -> None:
-        """Left-multiply per-point ``(B, 2, 2)`` matrices onto one axis."""
-        extra = self.tensor.ndim - 1  # broadcast (B,) over the state axes
-        shape = (self.batch_size,) + (1,) * (extra - 1)
-        self._apply_1q_axis(matrices[:, 0, 0].reshape(shape),
-                            matrices[:, 0, 1].reshape(shape),
-                            matrices[:, 1, 0].reshape(shape),
-                            matrices[:, 1, 1].reshape(shape), axis)
-
-    # ------------------------------------------------------------------
-    # Evolution
-    # ------------------------------------------------------------------
-    def apply_unitary(self, matrix: np.ndarray,
-                      qubits: Sequence[int]) -> None:
-        """``rho -> U rho U†`` with one matrix shared by the whole batch."""
-        qubits = tuple(qubits)
-        self._apply_fixed(matrix, tuple(self._row(q) for q in qubits))
-        self._apply_fixed(matrix.conj(), tuple(self._col(q) for q in qubits))
-
-    def apply_unitary_per_point(self, matrices: np.ndarray,
-                                qubit: int) -> None:
-        """``rho_b -> U_b rho_b U_b†`` with per-point 1q matrices."""
-        self._apply_per_point(matrices, self._row(qubit))
-        self._apply_per_point(matrices.conj(), self._col(qubit))
-
-    def apply_kraus(self, ops: Sequence[np.ndarray],
-                    qubits: Sequence[int]) -> None:
-        """``rho -> sum_i K_i rho K_i†`` shared by the whole batch."""
-        qubits = tuple(qubits)
-        row_axes = tuple(self._row(q) for q in qubits)
-        col_axes = tuple(self._col(q) for q in qubits)
-        source = self.tensor
-        result = np.zeros_like(source)
-        k = len(qubits)
-        for op in ops:
-            mat_t = op.reshape((2,) * (2 * k))
-            step = np.tensordot(mat_t, source,
-                                axes=(tuple(range(k, 2 * k)), row_axes))
-            step = np.moveaxis(step, tuple(range(k)), row_axes)
-            conj_t = op.conj().reshape((2,) * (2 * k))
-            step = np.tensordot(conj_t, step,
-                                axes=(tuple(range(k, 2 * k)), col_axes))
-            result += np.moveaxis(step, tuple(range(k)), col_axes)
-        self.tensor = result
-
-    def _pair_slice(self, positions: tuple[int, ...],
-                    values: tuple[int, ...]) -> tuple:
-        index = [slice(None)] * self.tensor.ndim
-        for position, value in zip(positions, values):
-            index[position] = value
-        return tuple(index)
-
-    def apply_depolarizing(self, p: float, qubits: Sequence[int]) -> None:
-        """Depolarizing channel in closed form (the scalar twin, batched).
-
-        ``rho -> (1 - r) rho + r * (tr_q rho) (x) I/2^k`` applied through
-        slice views: off-diagonal blocks scale by ``1 - r``, diagonal
-        blocks blend toward their average -- one pass over the state, no
-        full-size outer-product temporaries.
-        """
-        k = len(qubits)
-        strength = p * (4 ** k) / (4 ** k - 1)
-        keep = 1.0 - strength
-        qubits = tuple(qubits)
-        axes = tuple(self._row(q) for q in qubits) \
-            + tuple(self._col(q) for q in qubits)
-        tensor = self.tensor
-        if k == 1:
-            v00 = tensor[self._pair_slice(axes, (0, 0))]
-            v11 = tensor[self._pair_slice(axes, (1, 1))]
-            blend = (0.5 * strength) * (v00 + v11)
-            new00 = keep * v00 + blend
-            new11 = keep * v11 + blend
-            tensor[self._pair_slice(axes, (0, 1))] *= keep
-            tensor[self._pair_slice(axes, (1, 0))] *= keep
-            tensor[self._pair_slice(axes, (0, 0))] = new00
-            tensor[self._pair_slice(axes, (1, 1))] = new11
-            return
-        diagonal = [(i, j, i, j) for i in (0, 1) for j in (0, 1)]
-        blocks = [tensor[self._pair_slice(axes, d)] for d in diagonal]
-        blend = (0.25 * strength) * (blocks[0] + blocks[1]
-                                     + blocks[2] + blocks[3])
-        new_blocks = [keep * block + blend for block in blocks]
-        tensor *= keep
-        for d, new in zip(diagonal, new_blocks):
-            tensor[self._pair_slice(axes, d)] = new
-
-    def apply_relaxation(self, gamma: float, eta: float, qubit: int) -> None:
-        """Thermal relaxation in closed form on one qubit, whole batch."""
-        view = np.moveaxis(self.tensor, (self._row(qubit), self._col(qubit)),
-                           (0, 1))
-        view[0, 1] *= eta
-        view[1, 0] *= eta
-        view[0, 0] += gamma * view[1, 1]
-        view[1, 1] *= 1.0 - gamma
-
-    # ------------------------------------------------------------------
-    # Readout
-    # ------------------------------------------------------------------
     def pauli_expectations(self, paulis) -> np.ndarray:
         """``tr[rho_b P_i]`` for every batch point and term: ``(B, M)``."""
-        n = self.num_qubits
-        dim = 2 ** n
-        rho = self.tensor.reshape(self.batch_size, dim, dim)
-        indices = np.arange(dim, dtype=np.uint64)
-        out = np.empty((self.batch_size, len(paulis)))
-        for i, pauli in enumerate(paulis):
-            xmask, zmask = _masks(pauli.x, pauli.z, n)
-            phases = (-1.0) ** np.bitwise_count(indices & np.uint64(zmask))
-            coeff = pauli.sign * (1j) ** int(np.count_nonzero(pauli.x & pauli.z))
-            flipped = (indices ^ np.uint64(xmask)).astype(np.int64)
-            values = (rho[:, indices.astype(np.int64), flipped]
-                      * phases[None, :]).sum(axis=1)
-            out[:, i] = np.real(coeff * values)
-        return out
+        return PauliReadout(paulis, self.num_qubits)(self.tensor)
 
 
 def evolve_steps_with_noise(steps: list[tuple[Instruction, np.ndarray | None]],
                             num_qubits: int, batch_size: int,
-                            noise_model: NoiseModel
+                            noise_model: NoiseModel, *,
+                            compiler: ScheduleCompiler | None = None
                             ) -> BatchedDensityMatrixSimulator:
     """Evolve a batch through one shared circuit structure with noise.
 
     ``steps`` is the bound circuit as ``(instruction, angles)`` pairs:
     ``angles`` is a ``(B,)`` vector of per-point rotation angles for
     parameter-dependent rotations and ``None`` for instructions shared by
-    every point.  The walk (channel dispatch, ASAP idle-relaxation
-    scheduling) mirrors :func:`repro.densesim.evaluator.evolve_with_noise`
-    exactly; noise channels never depend on rotation angles, so one
-    schedule serves the whole batch.
+    every point.  The schedule (channel fusion, ASAP idle relaxation) is
+    the one :func:`repro.densesim.evaluator.evolve_with_noise` compiles;
+    pass a ``compiler`` built on ``noise_model`` to reuse its cached
+    superoperators across calls.
     """
     if noise_model.num_qubits != num_qubits:
         raise ValueError("noise model size does not match circuit register")
-    sim = BatchedDensityMatrixSimulator(num_qubits, batch_size)
-    idle = (noise_model.include_idle_relaxation
-            and noise_model.include_relaxation
-            and noise_model.t1 is not None)
-    clocks = np.zeros(num_qubits)
-    for inst, angles in steps:
-        if idle:
-            start = max(clocks[q] for q in inst.qubits)
-            for q in inst.qubits:
-                spec = noise_model.relaxation_spec(q, start - clocks[q])
-                if spec is not None:
-                    sim.apply_relaxation(spec.params[0], spec.params[1], q)
-            duration = noise_model.gate_duration(inst)
-            for q in inst.qubits:
-                clocks[q] = start + duration
-        if angles is None:
-            sim.apply_unitary(inst.matrix(), inst.qubits)
-        else:
-            sim.apply_unitary_per_point(
-                rotation_matrices(inst.name, angles), inst.qubits[0])
-        for spec in noise_model.channels_after(inst):
-            if spec.kind == "depol":
-                sim.apply_depolarizing(spec.params[0], spec.qubits)
-            elif spec.kind == "relax":
-                sim.apply_relaxation(spec.params[0], spec.params[1],
-                                     spec.qubits[0])
-            elif spec.kind == "unitary_zz":
-                (op,) = spec.kraus_operators()
-                sim.apply_unitary(op, spec.qubits)
-            else:
-                sim.apply_kraus(spec.kraus_operators(), spec.qubits)
-    if idle:
-        end = float(clocks.max())
-        for q in range(num_qubits):
-            spec = noise_model.relaxation_spec(q, end - clocks[q])
-            if spec is not None:
-                sim.apply_relaxation(spec.params[0], spec.params[1], q)
-    return sim
+    schedule = compiler_for(noise_model, compiler).compile(steps, batch_size)
+    return BatchedDensityMatrixSimulator(num_qubits, batch_size,
+                                         tensor=schedule.run())
+

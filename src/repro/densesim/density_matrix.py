@@ -15,17 +15,54 @@ from typing import Sequence
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from .schedule import check_dense_fits
 from .statevector import _masks, apply_matrix
 
 
-class DensityMatrixSimulator:
-    """Exact mixed-state simulation on ``num_qubits`` qubits."""
+class PauliReadout:
+    """``tr[rho_b P_i]`` for a batch of density matrices and fixed Paulis.
 
-    def __init__(self, num_qubits: int):
+    ``P|b> = sign * i^{#Y} * (-1)^{popcount(b & z)} |b ^ x>``, so
+    ``tr[rho P] = sign * i^{#Y} * sum_b rho[b, b ^ x] (-1)^{popcount(b & z)}``.
+    The flat gather indices and signed phases are built once per
+    observable; each call is one gather and one contraction, ``(B, M)``.
+    """
+
+    def __init__(self, paulis, num_qubits: int):
+        dim = 2 ** num_qubits
+        rows = np.arange(dim, dtype=np.int64)
+        self._flat = np.empty((len(paulis), dim), dtype=np.int64)
+        self._weights = np.empty((len(paulis), dim), dtype=complex)
+        for i, pauli in enumerate(paulis):
+            xmask, zmask = _masks(pauli.x, pauli.z, num_qubits)
+            coeff = pauli.sign * (1j) ** int(np.count_nonzero(pauli.x & pauli.z))
+            self._flat[i] = rows * dim + (rows ^ xmask)
+            self._weights[i] = coeff * (-1.0) ** np.bitwise_count(rows & zmask)
+
+    def __call__(self, rho: np.ndarray) -> np.ndarray:
+        """Expectations of a ``(B, 2^n, 2^n)`` stack: real ``(B, M)``."""
+        flat = rho.reshape(len(rho), -1)
+        return np.einsum("bmk,mk->bm", flat[:, self._flat],
+                         self._weights).real
+
+
+class DensityMatrixSimulator:
+    """Exact mixed-state simulation on ``num_qubits`` qubits.
+
+    The per-op methods below apply one gate or channel per pass over rho;
+    the device model's production path compiles them into fused blocks
+    instead (:mod:`repro.densesim.schedule`) and keeps these as its oracle.
+    """
+
+    def __init__(self, num_qubits: int, rho: np.ndarray | None = None):
         if num_qubits < 1:
             raise ValueError("need at least one qubit")
+        check_dense_fits(num_qubits)
         self.num_qubits = int(num_qubits)
-        self.reset()
+        if rho is None:
+            self.reset()
+        else:
+            self.rho = rho
 
     def reset(self) -> None:
         dim = 2 ** self.num_qubits
@@ -123,21 +160,15 @@ class DensityMatrixSimulator:
     # ------------------------------------------------------------------
     def pauli_expectation(self, pauli) -> float:
         """``tr[rho P]`` in O(2^n) via the Pauli's sparsity pattern."""
-        n = self.num_qubits
-        xmask, zmask = _masks(pauli.x, pauli.z, n)
-        indices = np.arange(2 ** n, dtype=np.uint64)
-        phases = (-1.0) ** np.bitwise_count(indices & np.uint64(zmask))
-        coeff = pauli.sign * (1j) ** int(np.count_nonzero(pauli.x & pauli.z))
-        flipped = (indices ^ np.uint64(xmask)).astype(np.int64)
-        # (rho P)[b, b] = rho[b, b ^ x] * c(b) with c(b) the phase of P|b>.
-        value = np.sum(self.rho[indices.astype(np.int64), flipped] * phases)
-        return float(np.real(coeff * value))
+        readout = PauliReadout([pauli], self.num_qubits)
+        return float(readout(self.rho[None])[0, 0])
 
     def expectation_sum(self, hamiltonian,
                         term_attenuation: np.ndarray | None = None) -> float:
         """``tr[rho H]``, optionally scaling each term (readout attenuation)."""
-        values = np.array([self.pauli_expectation(p)
-                           for _, p in hamiltonian.terms()])
+        readout = PauliReadout([p for _, p in hamiltonian.terms()],
+                               self.num_qubits)
+        values = readout(self.rho[None])[0]
         coeffs = hamiltonian.coefficients
         if term_attenuation is not None:
             values = values * term_attenuation

@@ -36,7 +36,9 @@ from typing import TYPE_CHECKING, Protocol, runtime_checkable
 import numpy as np
 
 from ..circuits.circuit import Circuit
+from ..densesim.density_matrix import PauliReadout
 from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
+from ..densesim.schedule import ScheduleCompiler
 from ..noise.clifford_model import CliffordNoiseModel
 from ..noise.model import NoiseModel
 from ..paulis.pauli_sum import PauliSum
@@ -223,6 +225,9 @@ class BaseEstimator:
             raise ValueError("noise model width must match the eval register")
         self.num_evaluations = 0
         self._plan: _BindingPlan | None = None
+        #: fused-schedule compiler: the model's channel superoperators are
+        #: built once per estimator (clones over folded problems share it)
+        self._compiler = ScheduleCompiler(self.noise_model)
 
     # -- batched circuit construction ---------------------------------
     def _bound_circuit_batched(self, theta: np.ndarray) -> Circuit:
@@ -295,6 +300,7 @@ class ExactEstimator(BaseEstimator):
         self._attenuation = measurement_attenuations(observable,
                                                      self.noise_model)
         self._paulis = [p for _, p in observable.terms()]
+        self._readout = PauliReadout(self._paulis, problem.num_eval_qubits)
         self._coefficients = observable.coefficients
 
     def with_problem(self, problem: "VQEProblem") -> "ExactEstimator":
@@ -307,12 +313,13 @@ class ExactEstimator(BaseEstimator):
         clone = ExactEstimator(problem, self.observable,
                                noise_model=self.noise_model, shots=self.shots)
         clone.rng = self.rng
+        clone._compiler = self._compiler
         return clone
 
     def _finish(self, circuit: Circuit, start: float) -> EstimateResult:
-        sim = evolve_with_noise(circuit, self.noise_model)
-        values = np.array([sim.pauli_expectation(p) for p in self._paulis])
-        values = values * self._attenuation
+        sim = evolve_with_noise(circuit, self.noise_model,
+                                compiler=self._compiler)
+        values = self._readout(sim.rho[None])[0] * self._attenuation
         exact = float(self._coefficients @ values)
         self.num_evaluations += 1
         if self.shots is None:
@@ -386,8 +393,9 @@ class ExactEstimator(BaseEstimator):
                 chunk_start = time.perf_counter()
                 steps = plan.steps_for(mask, thetas[chunk])
                 sim = evolve_steps_with_noise(
-                    steps, num_qubits, len(chunk), self.noise_model)
-                values = sim.pauli_expectations(self._paulis)
+                    steps, num_qubits, len(chunk), self.noise_model,
+                    compiler=self._compiler)
+                values = self._readout(sim.tensor)
                 values *= self._attenuation[None, :]
                 term_matrix[chunk] = values
                 exact_values[chunk] = values @ self._coefficients
@@ -474,6 +482,7 @@ class ShotSamplingEstimator(BaseEstimator):
             problem, self.observable, noise_model=self.noise_model,
             shots=self.shots, readout_mitigation=self.readout_mitigation)
         clone.rng = self.rng
+        clone._compiler = self._compiler
         return clone
 
     @property
@@ -490,7 +499,8 @@ class ShotSamplingEstimator(BaseEstimator):
         term_values = np.zeros(self.observable.num_terms)
         for group, rotation in zip(self.groups, self._rotations):
             rotated = circuit.compose(rotation)
-            sim = evolve_with_noise(rotated, self.noise_model)
+            sim = evolve_with_noise(rotated, self.noise_model,
+                                    compiler=self._compiler)
             probs = sim.probabilities_with_readout_error(
                 self.noise_model.readout_p01, self.noise_model.readout_p10)
             sampled = self.rng.multinomial(self.shots, probs) / self.shots

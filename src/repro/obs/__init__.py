@@ -52,7 +52,9 @@ conjugation hot path bumps always-on counters (:data:`KERNEL`: words,
 rows, LUT hits/misses, fused passes) that surface as Prometheus
 ``repro_kernel_*`` series and as the summary's per-worker word-ops/s
 table.  Process-pool children return snapshots over the cache-stats
-path; the parent folds them in.
+path; the parent folds them in.  The fused dense schedules do the same
+with :data:`DENSE` (schedules compiled, blocks applied, rho elements
+read), surfaced as ``repro_densesim_*`` series.
 
 **Metrics** (:mod:`repro.obs.metrics`).  A process-wide
 :data:`REGISTRY` of ``Counter`` / ``Gauge`` / ``Histogram`` families,
@@ -98,7 +100,9 @@ from .export import (
     to_chrome_trace,
 )
 from .kernel import (
+    DENSE,
     KERNEL,
+    DenseCounters,
     KernelCounters,
     publish_kernel_metrics,
 )
@@ -143,7 +147,9 @@ __all__ = [
     "new_trace_id",
     "export_chrome_trace",
     "to_chrome_trace",
+    "DENSE",
     "KERNEL",
+    "DenseCounters",
     "KernelCounters",
     "publish_kernel_metrics",
     "Counter",

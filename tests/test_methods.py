@@ -113,7 +113,15 @@ class TestRegistry:
 
 
 class TestGoldens:
-    """Pre-refactor numbers (captured on main at PR-2) must not move."""
+    """Pre-refactor numbers (captured on main at PR-2) must not move.
+
+    Clifford-side numbers stay bit-identical.  Dense device-model numbers
+    come from fused superoperator schedules, which reassociate the float
+    sums of the per-op walk the goldens were captured on, so they are held
+    to 1e-12 instead.
+    """
+
+    DENSE_TOL = 1e-12
 
     GOLDEN = {
         # method: (loss, noiseless, clifford_model, device_model, vqe_final)
@@ -136,8 +144,10 @@ class TestGoldens:
             assert run.loss == loss
             assert run.evaluation.noiseless == noiseless
             assert run.evaluation.clifford_model == clifford
-            assert run.evaluation.device_model == device
-            assert run.vqe.final_energy == vqe_final
+            assert run.evaluation.device_model == pytest.approx(
+                device, rel=0, abs=self.DENSE_TOL)
+            assert run.vqe.final_energy == pytest.approx(
+                vqe_final, rel=0, abs=self.DENSE_TOL)
 
 
 class TestCustomMethodEndToEnd:
