@@ -21,6 +21,7 @@ import time
 from pathlib import Path
 
 import numpy as np
+import pauli_oracle
 from conftest import print_banner, run_once
 
 from repro.core import CafqaLoss, ClaptonLoss, NcafqaLoss, VQEProblem
@@ -169,7 +170,8 @@ def test_packed_qubit_scaling(benchmark):
     """Packed vs boolean Clapton loss across the qubit-scaling axis.
 
     One full-population ``evaluate_many`` at the Figure-4 working point
-    (|S| = 100) per size, packed layout against the boolean oracle.  The
+    (|S| = 100) per size, the production packed loss against the boolean
+    oracle walk of ``tests/pauli_oracle.py``.  The
     contract is twofold: the losses are **bit-identical** at every size,
     and the packed path wins by >= 3x from 48 qubits up (where the
     byte-per-bit layout's memory traffic dominates).
@@ -183,16 +185,14 @@ def test_packed_qubit_scaling(benchmark):
             genomes = rng.integers(
                 0, 4,
                 size=(POPULATION, problem.num_transformation_parameters))
-            packed_loss = ClaptonLoss(problem, packed=True)
-            bool_loss = ClaptonLoss(problem, packed=False)
-            packed_values = packed_loss.evaluate_many(genomes)  # warm
-            bool_values = bool_loss.evaluate_many(genomes)
+            loss = ClaptonLoss(problem)
+            packed_values = loss.evaluate_many(genomes)  # warm
+            bool_values = pauli_oracle.clapton_losses(loss, genomes)
             np.testing.assert_array_equal(packed_values, bool_values,
                                           err_msg=f"n={n}")
-            packed_seconds = _best_of(
-                lambda: packed_loss.evaluate_many(genomes))
+            packed_seconds = _best_of(lambda: loss.evaluate_many(genomes))
             bool_seconds = _best_of(
-                lambda: bool_loss.evaluate_many(genomes))
+                lambda: pauli_oracle.clapton_losses(loss, genomes))
             rows.append((n, packed_seconds, bool_seconds))
         return rows
 

@@ -67,21 +67,8 @@ ENGINE_PRESETS = ("paper", "fast", "smoke")
 # EngineConfig <-> dict
 # ----------------------------------------------------------------------
 def engine_to_dict(config: EngineConfig) -> dict:
-    """JSON form of an :class:`EngineConfig` (nested ``ga`` included).
-
-    The deprecated ``num_processes`` knob is not shipped: campaigns
-    parallelize by sharding *tasks* (each engine stays serial inside its
-    worker so sharded runs reproduce serial numbers).
-    """
-    out = asdict(config)
-    if out.pop("num_processes", 1) > 1:
-        import warnings
-
-        warnings.warn(
-            "EngineConfig.num_processes is ignored by campaigns; shard "
-            "tasks instead (CampaignRunner(executor=...) / `repro sweep "
-            "--jobs N`)", DeprecationWarning, stacklevel=2)
-    return out
+    """JSON form of an :class:`EngineConfig` (nested ``ga`` included)."""
+    return asdict(config)
 
 
 def engine_from_dict(data: dict) -> EngineConfig:
@@ -378,10 +365,6 @@ class CampaignSpec:
                 # duplicates would expand to colliding task ids, leaving
                 # phantom forever-pending tasks in every status count
                 raise ValueError(f"duplicate values in {axis}: {values}")
-        if "num_processes" in self.engine_overrides:
-            raise ValueError(
-                "engine_overrides cannot set num_processes: campaigns "
-                "parallelize by sharding tasks (`repro sweep --jobs N`)")
         bad_noise = set(self.base_noise) - set(DEFAULT_BASE_NOISE)
         if bad_noise:
             # a typo'd key would silently run the default noise point

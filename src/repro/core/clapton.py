@@ -52,8 +52,7 @@ class InitializationResult:
             ``A'(initial_theta)``.
         search: The :class:`~repro.search.SearchResult` that produced the
             genome (strategy name + per-round trace); ``None`` for
-            methods whose overridden search returns bare engine
-            bookkeeping.
+            results assembled outside :meth:`InitializationMethod.run`.
         mitigation: Canonical name of the mitigation strategy requested
             for this run's noisy evaluations (``repro mitigations``);
             ``"none"`` -- the default -- leaves every estimate raw.

@@ -24,6 +24,8 @@ import numpy as np
 from ..circuits.ansatz import cafqa_angles
 from ..noise.clifford_model import CliffordCircuitPlan, CliffordNoiseModel
 from ..obs import REGISTRY, get_tracer
+from ..obs.kernel import kernel_event
+from ..paulis.packed_table import PackedPauliTable
 from .problem import VQEProblem
 from .transformation import embed_table, transform_table, transform_table_many
 
@@ -43,28 +45,23 @@ class ClaptonLoss:
             paper's depolarizing + readout model on the problem's device).
         noisy_weight / noiseless_weight: Term weights; the paper uses 1 + 1,
             the ablation bench sweeps them.
-        packed: Run the conjugation/walk on the word-packed Pauli layout
-            (default).  ``packed=False`` keeps the boolean-matrix oracle;
-            both produce bit-identical losses.
     """
 
     def __init__(self, problem: VQEProblem,
                  clifford_model: CliffordNoiseModel | None = None,
-                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0,
-                 packed: bool = True):
+                 noisy_weight: float = 1.0, noiseless_weight: float = 1.0):
         self.problem = problem
         self.clifford_model = clifford_model or CliffordNoiseModel(
             problem.noise_model)
         self.noisy_weight = noisy_weight
         self.noiseless_weight = noiseless_weight
-        self.packed = packed
         self._skeleton = problem.skeleton()
 
     def components(self, gamma) -> tuple[float, float]:
         """``(L_N, L_0)`` at a transformation genome."""
         problem = self.problem
         table = transform_table(problem.hamiltonian, gamma,
-                                problem.entanglement, packed=self.packed)
+                                problem.entanglement)
         coeffs = problem.hamiltonian.coefficients
         noiseless = float(coeffs @ table.expectation_all_zeros())
         eval_table = embed_table(table, problem.positions,
@@ -90,8 +87,7 @@ class ClaptonLoss:
         num_terms = len(coeffs)
         stacked = transform_table_many(problem.hamiltonian,
                                        np.asarray(gammas, dtype=np.int64),
-                                       problem.entanglement,
-                                       packed=self.packed)
+                                       problem.entanglement)
         num_genomes = stacked.num_rows // num_terms
         zeros = stacked.expectation_all_zeros()
         noiseless = np.array(
@@ -128,13 +124,11 @@ class CafqaLoss:
     """
 
     def __init__(self, problem: VQEProblem, noise_aware: bool = False,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         self.problem = problem
         self.noise_aware = noise_aware
         self.clifford_model = clifford_model or CliffordNoiseModel(
             problem.noise_model)
-        self.packed = packed
         from ..circuits.ansatz import hardware_efficient_ansatz
 
         self._logical_ansatz = hardware_efficient_ansatz(
@@ -142,17 +136,10 @@ class CafqaLoss:
         self._mapped = problem.mapped_hamiltonian()
         self._logical_plan: CliffordCircuitPlan | None = None
         self._eval_plan: CliffordCircuitPlan | None = None
-        if packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            # packed masters, packed once and tiled/copied per evaluation
-            self._ham_master = PackedPauliTable.from_table(
-                problem.hamiltonian.table)
-            self._mapped_master = PackedPauliTable.from_table(
-                self._mapped.table)
-        else:
-            self._ham_master = problem.hamiltonian.table
-            self._mapped_master = self._mapped.table
+        # masters packed once and tiled/copied per evaluation
+        self._ham_master = PackedPauliTable.from_table(
+            problem.hamiltonian.table)
+        self._mapped_master = PackedPauliTable.from_table(self._mapped.table)
 
     def components(self, genome) -> tuple[float, float]:
         problem = self.problem
@@ -184,14 +171,17 @@ class CafqaLoss:
         """``(L_N, L_0)`` arrays for a whole ``(P, d)`` genome population.
 
         The population's Pauli tables are stacked into one ``(P*M, n)``
-        bit tensor and conjugated through per-genome row masks (grouped by
-        rotation level per ansatz slot); the noisy term, when enabled,
-        runs the same stacked backward walk through the transpiled
-        circuit's noise locations.  Per-genome values are bit-identical
-        to :meth:`components`.
+        word-packed table; each rotation slot's angle groups fuse into one
+        leveled-LUT pass.  The noisy term, when enabled, runs the same
+        stacked backward walk through the transpiled circuit's noise
+        locations under per-genome row masks.  Per-genome values are
+        bit-identical to :meth:`components`.
         """
         from ..noise.clifford_model import _inverse_gate_tableau
-        from ..stabilizer.tableau import apply_gate_to_table
+        from ..stabilizer.tableau import (
+            apply_gate_levels_to_table,
+            apply_gate_to_table,
+        )
 
         genomes = np.asarray(genomes, dtype=np.int64)
         if genomes.ndim != 2:
@@ -206,17 +196,8 @@ class CafqaLoss:
         if self._logical_plan is None:
             self._logical_plan = CliffordCircuitPlan(self._logical_ansatz)
         conj = self._ham_master.tile(num_genomes)
-        if self.packed:
-            import time as _time
-
-            from ..obs.kernel import KERNEL
-            from ..stabilizer.tableau import apply_gate_levels_to_table
-
-            tracer = get_tracer()
-            before = KERNEL.snapshot() if tracer.enabled else None
-            t0 = _time.perf_counter() if tracer.enabled else 0.0
-            # packed fast path: each rotation slot's angle groups fuse
-            # into one unmasked leveled-LUT pass (bit-identical per row)
+        with kernel_event("kernel.fused_levels", words="words", rows="rows",
+                          passes="fused_passes"):
             for item in self._logical_plan.reverse_leveled_schedule(
                     thetas, num_terms):
                 if item[0] == "gate":
@@ -229,18 +210,6 @@ class CafqaLoss:
                                         for b in bound_insts]
                     apply_gate_levels_to_table(conj, entries, qubits,
                                                level_of_row)
-            if before is not None:
-                # one aggregated kernel event per batched plan walk
-                delta = KERNEL.delta(before)
-                tracer.event("kernel.fused_levels",
-                             _time.perf_counter() - t0,
-                             words=delta["words"], rows=delta["rows"],
-                             passes=delta["fused_passes"])
-        else:
-            for inst, rows in self._logical_plan.reverse_schedule(thetas,
-                                                                  num_terms):
-                apply_gate_to_table(conj, _inverse_gate_tableau(inst),
-                                    inst.qubits, rows=rows)
         zeros = conj.expectation_all_zeros()
         noiseless = np.array(
             [float(coeffs @ zeros[p * num_terms:(p + 1) * num_terms])
@@ -285,7 +254,6 @@ class NcafqaLoss(CafqaLoss):
     """
 
     def __init__(self, problem: VQEProblem,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         super().__init__(problem, noise_aware=True,
-                         clifford_model=clifford_model, packed=packed)
+                         clifford_model=clifford_model)

@@ -6,13 +6,11 @@ the bound ansatz ``A'(theta)``.  This module gives them a single seam:
 
 * :class:`ExactEstimator` (``mode="exact"``) -- full density-matrix
   evolution with every modeled channel, optionally adding Gaussian noise
-  with the exact per-term sampling variance.  The successor of the old
-  ``repro.vqe.estimator.EnergyEstimator``.
+  with the exact per-term sampling variance.
 * :class:`ShotSamplingEstimator` (``mode="shots"``) -- the faithful
   hardware measurement flow: qubit-wise-commuting grouping, noisy basis
   rotations, multinomial bitstring sampling through readout confusion,
-  optional tensored readout mitigation.  Absorbs the old
-  ``repro.vqe.counts_estimator.CountsEnergyEstimator``.
+  optional tensored readout mitigation.
 * :class:`CliffordEstimator` (``mode="clifford"``) -- stabilizer fast path
   for Clifford parameter points (every theta a multiple of pi/2): the
   Pauli-channel noise projection evaluated in one backward tableau pass,
@@ -41,6 +39,7 @@ from ..densesim.evaluator import evolve_with_noise, measurement_attenuations
 from ..densesim.schedule import ScheduleCompiler
 from ..noise.clifford_model import CliffordNoiseModel
 from ..noise.model import NoiseModel
+from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 
 if TYPE_CHECKING:  # annotation-only; avoids a core <-> execution cycle
@@ -546,29 +545,20 @@ class CliffordEstimator(BaseEstimator):
 
     def __init__(self, problem: "VQEProblem", observable: PauliSum,
                  noise_model: NoiseModel | None = None,
-                 clifford_model: CliffordNoiseModel | None = None,
-                 packed: bool = True):
+                 clifford_model: CliffordNoiseModel | None = None):
         super().__init__(problem, observable, noise_model)
         self.clifford_model = clifford_model or CliffordNoiseModel(
             self.noise_model)
-        self.packed = packed
         self._coefficients = observable.coefficients
         self._clifford_plan = None
-        if packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            # observable packed once; every pass copies/tiles the words
-            self._observable_table = PackedPauliTable.from_table(
-                observable.table)
-        else:
-            self._observable_table = observable.table
+        # observable packed once; every pass copies/tiles the words
+        self._observable_table = PackedPauliTable.from_table(observable.table)
 
     def with_problem(self, problem: "VQEProblem") -> "CliffordEstimator":
         """Clone over another problem (same observable and noise models)."""
         return CliffordEstimator(problem, self.observable,
                                  noise_model=self.noise_model,
-                                 clifford_model=self.clifford_model,
-                                 packed=self.packed)
+                                 clifford_model=self.clifford_model)
 
     def _finish(self, circuit: Circuit, start: float) -> EstimateResult:
         if not circuit.is_clifford():

@@ -15,9 +15,7 @@ every surface produces identical numbers for identical seeds.
 
 from __future__ import annotations
 
-import inspect
 import time
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,20 +31,6 @@ from ..noise.model import NoiseModel
 from ..optim.engine import EngineConfig
 from ..paulis.pauli_sum import PauliSum
 from ..vqe.runner import VQETrace, run_vqe
-
-
-def __getattr__(name: str):
-    if name == "METHODS":
-        # PR-1/PR-2-era shim: the frozen tuple is now the registry's
-        # built-in trio (see repro.methods).
-        warnings.warn(
-            "METHODS is deprecated; use repro.methods.method_names() for "
-            "everything registered or repro.methods.DEFAULT_METHODS for "
-            "the built-in trio", DeprecationWarning, stacklevel=2)
-        from ..methods import DEFAULT_METHODS
-
-        return DEFAULT_METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass
@@ -377,22 +361,9 @@ class Experiment:
         results: dict[str, InitializationResult] = {}
         for method in resolved:
             method_start = time.perf_counter()
-            run_params = inspect.signature(method.run).parameters
-            takes_mitigation = (
-                "mitigation" in run_params
-                or any(p.kind is inspect.Parameter.VAR_KEYWORD
-                       for p in run_params.values()))
-            if takes_mitigation:
-                result = method.run(self.problem, config=config,
-                                    executor=executor, strategy=strategy,
-                                    budget=budget, mitigation=mitigation)
-            else:
-                # pre-mitigation-axis override: run raw, then stamp the
-                # axis so downstream evaluation still applies it
-                result = method.run(self.problem, config=config,
-                                    executor=executor, strategy=strategy,
-                                    budget=budget)
-                result.mitigation = mitigation.name
+            result = method.run(self.problem, config=config,
+                                executor=executor, strategy=strategy,
+                                budget=budget, mitigation=mitigation)
             results[method.name] = result
             evaluation = (evaluate_initial_point(result,
                                                  mitigation=mitigation)
@@ -413,13 +384,10 @@ class Experiment:
                 engine_seconds=result.engine.total_seconds,
                 seconds=time.perf_counter() - method_start,
                 vqe=trace,
-                strategy=(search.strategy if search is not None
-                          else "multi_ga"),
+                strategy=search.strategy,
                 mitigation=mitigation.name,
-                search_trace=(search.trace_dicts() if search is not None
-                              else []),
-                cache_stats=(search.cache_stats if search is not None
-                             else None),
+                search_trace=search.trace_dicts(),
+                cache_stats=search.cache_stats,
             )
         return ExperimentResult(
             benchmark=self.name,

@@ -24,18 +24,10 @@ from ..vqe.runner import VQETrace
 from .experiment import Experiment
 
 __all__ = [
-    "METHODS", "ComparisonRow", "build_problem", "compare_initializations",
+    "ComparisonRow", "build_problem", "compare_initializations",
     "convergence_traces", "format_comparison_table",
     "sweep_relative_improvement",
 ]
-
-
-def __getattr__(name: str):
-    if name == "METHODS":  # deprecated shim; warns in .experiment
-        from . import experiment
-
-        return experiment.METHODS
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass

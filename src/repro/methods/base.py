@@ -25,7 +25,6 @@ shape (e.g. best-of-K random sampling) override :meth:`search` instead.
 from __future__ import annotations
 
 import abc
-import inspect
 from dataclasses import dataclass
 from typing import Callable
 
@@ -134,31 +133,9 @@ class InitializationMethod(abc.ABC):
         from ..mitigation import resolve_mitigation as _resolve_mitigation
 
         mitigation_name = _resolve_mitigation(mitigation).name
-        params = inspect.signature(self.search).parameters
-        takes_axis = ("strategy" in params
-                      or any(p.kind is inspect.Parameter.VAR_KEYWORD
-                             for p in params.values()))
-        if takes_axis:
-            outcome = self.search(problem, config=config,
-                                  executor=executor, strategy=strategy,
-                                  budget=budget)
-        elif ((strategy is None
-               or resolve_strategy(strategy).name == "multi_ga")
-              and budget is None):
-            # pre-strategy-axis override (old three-argument signature):
-            # the default multi_ga request is "no strategy asked for" --
-            # the CLI and campaign tasks always pass it explicitly
-            outcome = self.search(problem, config=config,
-                                  executor=executor)
-        else:
-            raise TypeError(
-                f"{type(self).__name__}.search does not accept the "
-                f"strategy/budget axis; add `strategy=None, budget=None` "
-                f"to its signature (or **kwargs) to opt in")
-        if isinstance(outcome, SearchResult):
-            search, engine = outcome, outcome.as_engine_result()
-        else:  # legacy override returning a bare EngineResult
-            search, engine = None, outcome
+        search = self.search(problem, config=config, executor=executor,
+                             strategy=strategy, budget=budget)
+        engine = search.as_engine_result()
         decoded = self.decode(problem, engine.best_genome)
         return InitializationResult(
             method=self.name,

@@ -12,13 +12,14 @@ registered from user code (no core edits) runs everywhere a built-in does::
         description = "one line for `repro methods`"
         ...
 
-Lookups of unknown names fail with a did-you-mean suggestion naming the
-registered methods.
+The registry is a :class:`repro.registry.Registry`; lookups of unknown
+names fail with a did-you-mean suggestion naming the registered methods.
 """
 
 from __future__ import annotations
 
 from ..naming import did_you_mean
+from ..registry import Registry
 from .base import InitializationMethod
 
 #: The built-in trio, in the paper's presentation order.  This is the
@@ -26,65 +27,13 @@ from .base import InitializationMethod
 #: extra in-tree methods -- ``random_clifford``, ``vanilla`` -- are opt-in).
 DEFAULT_METHODS: tuple[str, ...] = ("cafqa", "ncafqa", "clapton")
 
-_REGISTRY: dict[str, InitializationMethod] = {}
-
-
-def register_method(method=None, *, replace: bool = False):
-    """Register an :class:`InitializationMethod` class or instance.
-
-    Usable as a bare decorator (``@register_method``), a parameterized one
-    (``@register_method(replace=True)``), or a plain call
-    (``register_method(instance)``).  Classes are instantiated with no
-    arguments; pre-built instances register as-is (use this for
-    parameterized variants).  Returns the decorated object unchanged.
-    """
-    def _register(obj):
-        instance = obj() if isinstance(obj, type) else obj
-        if not isinstance(instance, InitializationMethod):
-            raise TypeError(
-                f"register_method needs an InitializationMethod subclass "
-                f"or instance, got {obj!r}")
-        name = instance.name
-        if not name:
-            raise ValueError(
-                f"{type(instance).__name__} has no `name`; set the class "
-                f"attribute before registering")
-        if name in _REGISTRY and not replace:
-            raise ValueError(
-                f"method {name!r} is already registered "
-                f"({_REGISTRY[name]!r}); pass replace=True to override")
-        _REGISTRY[name] = instance
-        return obj
-
-    if method is None:
-        return _register
-    return _register(method)
-
-
-def unregister_method(name: str) -> None:
-    """Remove a registered method (primarily for test cleanup)."""
-    _REGISTRY.pop(name, None)
-
-
-def method_names() -> tuple[str, ...]:
-    """Registered names, in registration order (built-ins first)."""
-    return tuple(_REGISTRY)
-
-
-def available_methods() -> dict[str, InitializationMethod]:
-    """Name -> instance snapshot of the registry."""
-    return dict(_REGISTRY)
-
-
-def get_method(name: str) -> InitializationMethod:
-    """Look up a registered method; ``KeyError`` with a did-you-mean hint."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown method {name!r}{did_you_mean(name, _REGISTRY)}; "
-            f"registered "
-            f"methods: {list(_REGISTRY)}") from None
+METHOD_REGISTRY: Registry[InitializationMethod] = Registry(
+    "method", InitializationMethod)
+register_method = METHOD_REGISTRY.register
+unregister_method = METHOD_REGISTRY.unregister
+method_names = METHOD_REGISTRY.names
+available_methods = METHOD_REGISTRY.snapshot
+get_method = METHOD_REGISTRY.get
 
 
 def resolve_methods(methods=None) -> list[InitializationMethod]:
@@ -104,8 +53,8 @@ def resolve_methods(methods=None) -> list[InitializationMethod]:
         if isinstance(method, InitializationMethod):
             resolved.append(method)
         elif isinstance(method, str):
-            if method in _REGISTRY:
-                resolved.append(_REGISTRY[method])
+            if method in METHOD_REGISTRY:
+                resolved.append(get_method(method))
             else:
                 unknown.append(method)
         else:
@@ -113,7 +62,8 @@ def resolve_methods(methods=None) -> list[InitializationMethod]:
                 f"methods must be registered names or "
                 f"InitializationMethod instances, got {method!r}")
     if unknown:
+        names = method_names()
         raise ValueError(
-            f"unknown methods {unknown}{did_you_mean(unknown[0], _REGISTRY)}; "
-            f"registered methods: {list(_REGISTRY)}")
+            f"unknown methods {unknown}{did_you_mean(unknown[0], names)}; "
+            f"registered methods: {list(names)}")
     return resolved

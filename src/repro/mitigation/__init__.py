@@ -7,8 +7,9 @@ Two layers live here:
   one-off analysis (``zne_energy`` on a bound circuit).
 * **Strategies** (``strategies``, ``registry``): the
   :class:`MitigationStrategy` protocol (``wrap(estimator) -> Estimator``)
-  behind the fourth registry.  ``resolve_mitigation`` understands the
-  declarative ``"zne:folds=3|readout"`` grammar, and every surface --
+  behind a generic :class:`~repro.registry.Registry`.
+  ``resolve_mitigation`` understands the declarative
+  ``"zne:folds=3|readout"`` grammar, and every surface --
   ``Experiment.run(mitigation=)``, campaign ``mitigations`` grids,
   ``repro run --mitigation`` -- resolves through it.
 """

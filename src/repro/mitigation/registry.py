@@ -20,15 +20,16 @@ spec grammar::
     zne:folds=5,fit=exp       a parameterized stage (key=value, ','-joined)
     zne:folds=3|readout       a '|'-composed stack, leftmost outermost
 
-Lookups of unknown names fail with a did-you-mean suggestion naming the
-registered mitigations (via the shared ``repro.naming`` helper).
+The registry is a :class:`repro.registry.Registry`; lookups of unknown
+names fail with a did-you-mean suggestion naming the registered
+mitigations.
 """
 
 from __future__ import annotations
 
 import re
 
-from ..naming import did_you_mean
+from ..registry import Registry
 from .strategies import (
     ComposedMitigation,
     MitigationStrategy,
@@ -42,65 +43,13 @@ from .strategies import (
 #: byte-identical to pre-mitigation stores.
 DEFAULT_MITIGATION = "none"
 
-_REGISTRY: dict[str, MitigationStrategy] = {}
-
-
-def register_mitigation(strategy=None, *, replace: bool = False):
-    """Register a :class:`MitigationStrategy` class or instance.
-
-    Usable as a bare decorator (``@register_mitigation``), a parameterized
-    one (``@register_mitigation(replace=True)``), or a plain call
-    (``register_mitigation(instance)``).  Classes are instantiated with no
-    arguments; pre-built instances register as-is (use this for
-    parameterized variants).  Returns the decorated object unchanged.
-    """
-    def _register(obj):
-        instance = obj() if isinstance(obj, type) else obj
-        if not isinstance(instance, MitigationStrategy):
-            raise TypeError(
-                f"register_mitigation needs a MitigationStrategy subclass "
-                f"or instance, got {obj!r}")
-        name = instance.name
-        if not name:
-            raise ValueError(
-                f"{type(instance).__name__} has no `name`; set the class "
-                f"attribute before registering")
-        if name in _REGISTRY and not replace:
-            raise ValueError(
-                f"mitigation {name!r} is already registered "
-                f"({_REGISTRY[name]!r}); pass replace=True to override")
-        _REGISTRY[name] = instance
-        return obj
-
-    if strategy is None:
-        return _register
-    return _register(strategy)
-
-
-def unregister_mitigation(name: str) -> None:
-    """Remove a registered mitigation (primarily for test cleanup)."""
-    _REGISTRY.pop(name, None)
-
-
-def mitigation_names() -> tuple[str, ...]:
-    """Registered names, in registration order (built-ins first)."""
-    return tuple(_REGISTRY)
-
-
-def available_mitigations() -> dict[str, MitigationStrategy]:
-    """Name -> instance snapshot of the registry."""
-    return dict(_REGISTRY)
-
-
-def get_mitigation(name: str) -> MitigationStrategy:
-    """Look up a registered mitigation; ``KeyError`` with a did-you-mean
-    hint."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown mitigation {name!r}{did_you_mean(name, _REGISTRY)}; "
-            f"registered mitigations: {list(_REGISTRY)}") from None
+MITIGATION_REGISTRY: Registry[MitigationStrategy] = Registry(
+    "mitigation", MitigationStrategy)
+register_mitigation = MITIGATION_REGISTRY.register
+unregister_mitigation = MITIGATION_REGISTRY.unregister
+mitigation_names = MITIGATION_REGISTRY.names
+available_mitigations = MITIGATION_REGISTRY.snapshot
+get_mitigation = MITIGATION_REGISTRY.get
 
 
 def _parse_value(text: str):
@@ -154,8 +103,8 @@ def resolve_mitigation(mitigation=None) -> MitigationStrategy:
     if isinstance(mitigation, MitigationStrategy):
         return mitigation
     if isinstance(mitigation, str):
-        if mitigation in _REGISTRY:
-            return _REGISTRY[mitigation]
+        if mitigation in MITIGATION_REGISTRY:
+            return get_mitigation(mitigation)
         return parse_mitigation(mitigation)
     raise TypeError(
         f"mitigation must be a registered name, a 'zne:folds=3|readout' "

@@ -1,10 +1,10 @@
 """Shared did-you-mean suggestion for unknown-name errors.
 
-Every registry (methods, benchmarks, strategies, mitigations) and every
-CLI/aggregate filter rejects unknown names with the same shape of error:
-the bad name, a close-match suggestion, and the list of valid values.
-This module is the single implementation behind that suffix so the four
-registries stop carrying private copies.
+Every registry (the generic :class:`repro.registry.Registry` and the
+benchmark registry) and every CLI/aggregate filter rejects unknown names
+with the same shape of error: the bad name, a close-match suggestion, and
+the list of valid values.  This module is the single implementation
+behind that suffix.
 """
 
 from __future__ import annotations

@@ -34,6 +34,7 @@ import numpy as np
 
 from ..circuits.ansatz import is_identity_angle
 from ..circuits.circuit import Circuit, _INVERSE_NAME
+from ..paulis.packed_table import PackedPauliTable
 from ..paulis.pauli_sum import PauliSum
 from ..stabilizer.simulator import StabilizerSimulator
 from ..stabilizer.tableau import CliffordTableau, apply_gate_to_table, gate_tableau
@@ -65,12 +66,10 @@ class CliffordNoiseModel:
 
     def __init__(self, noise_model: NoiseModel,
                  include_twirled_relaxation: bool = False,
-                 include_basis_prep_error: bool = True,
-                 packed: bool = True):
+                 include_basis_prep_error: bool = True):
         self.noise_model = noise_model
         self.include_twirled_relaxation = include_twirled_relaxation
         self.include_basis_prep_error = include_basis_prep_error
-        self.packed = packed
         self._twirl_cache: dict[tuple[int, float], np.ndarray] = {}
 
     # ------------------------------------------------------------------
@@ -111,17 +110,11 @@ class CliffordNoiseModel:
 
         Walks the circuit in reverse (Heisenberg picture), attenuating at
         each noise location and conjugating the whole term table through the
-        inverse gate tableau.  With ``packed=True`` (the model's default)
-        the walk runs on the word-packed layout -- bit-identical values,
-        much less memory traffic at large n.
+        inverse gate tableau, on the word-packed layout.
         """
-        table = hamiltonian.table
-        if self.packed:
-            from ..paulis.packed_table import PackedPauliTable
-
-            table = PackedPauliTable.from_table(table)
         return self.noisy_zero_state_energy_table(
-            circuit, table, hamiltonian.coefficients)
+            circuit, PackedPauliTable.from_table(hamiltonian.table),
+            hamiltonian.coefficients)
 
     def noisy_zero_state_energy_table(self, circuit: Circuit, table,
                                       coefficients: np.ndarray) -> float:

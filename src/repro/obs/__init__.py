@@ -51,10 +51,12 @@ trace-event JSON for flamegraph viewers.
 conjugation hot path bumps always-on counters (:data:`KERNEL`: words,
 rows, LUT hits/misses, fused passes) that surface as Prometheus
 ``repro_kernel_*`` series and as the summary's per-worker word-ops/s
-table.  Process-pool children return snapshots over the cache-stats
-path; the parent folds them in.  The fused dense schedules do the same
-with :data:`DENSE` (schedules compiled, blocks applied, rho elements
-read), surfaced as ``repro_densesim_*`` series.
+table; :func:`kernel_event` turns one batched walk's counter advance
+into a single ``kernel.*`` trace event.  Process-pool children return
+snapshots over the cache-stats path; the parent folds them in.  The
+fused dense schedules do the same with :data:`DENSE` (schedules
+compiled, blocks applied, rho elements read), surfaced as
+``repro_densesim_*`` series.
 
 **Metrics** (:mod:`repro.obs.metrics`).  A process-wide
 :data:`REGISTRY` of ``Counter`` / ``Gauge`` / ``Histogram`` families,
@@ -104,6 +106,7 @@ from .kernel import (
     KERNEL,
     DenseCounters,
     KernelCounters,
+    kernel_event,
     publish_kernel_metrics,
 )
 from .metrics import (
@@ -151,6 +154,7 @@ __all__ = [
     "KERNEL",
     "DenseCounters",
     "KernelCounters",
+    "kernel_event",
     "publish_kernel_metrics",
     "Counter",
     "Gauge",

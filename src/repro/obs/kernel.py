@@ -39,9 +39,12 @@ exposes fleet-wide word throughput and dense block counts.
 
 from __future__ import annotations
 
+import contextlib
 import threading
+import time
 
 from .metrics import REGISTRY
+from .tracer import get_tracer
 
 #: The snapshot/delta field order (stable; used by wire payloads too).
 FIELDS = ("words", "rows", "lut_hits", "lut_misses", "fused_passes")
@@ -101,6 +104,30 @@ class DenseCounters(Counters):
 KERNEL = KernelCounters()
 #: Process singleton the dense schedule compiler and runner increment.
 DENSE = DenseCounters()
+
+
+@contextlib.contextmanager
+def kernel_event(name: str, **tag_to_field):
+    """Emit one ``name`` trace event covering the kernel work in the block.
+
+    Each keyword maps an event tag to the :data:`KERNEL` field whose
+    advance over the block it reports, e.g.
+    ``kernel_event("kernel.conjugate_table", words="words", rows="rows")``.
+    One aggregated event per batched walk, never per gate: per-slot events
+    would multiply span counts ~20x for no insight.  With tracing off the
+    block runs bare -- no snapshot, no clock read.
+    """
+    tracer = get_tracer()
+    if not tracer.enabled:
+        yield
+        return
+    before = KERNEL.snapshot()
+    t0 = time.perf_counter()
+    yield
+    delta = KERNEL.delta(before)
+    tracer.event(name, time.perf_counter() - t0,
+                 **{tag: delta[field] for tag, field in tag_to_field.items()})
+
 
 _PROM = {
     "words": REGISTRY.counter(

@@ -13,78 +13,26 @@ edits) runs everywhere a built-in does::
         description = "one line for `repro strategies`"
         ...
 
-Lookups of unknown names fail with a did-you-mean suggestion naming the
-registered strategies (mirroring ``repro.methods``).
+The registry is a :class:`repro.registry.Registry` (as for
+``repro.methods``); lookups of unknown names fail with a did-you-mean
+suggestion naming the registered strategies.
 """
 
 from __future__ import annotations
 
-from ..naming import did_you_mean
+from ..registry import Registry
 from .base import SearchStrategy
 
 #: The strategy every surface defaults to: the paper's Figure-4 engine.
 DEFAULT_STRATEGY = "multi_ga"
 
-_REGISTRY: dict[str, SearchStrategy] = {}
-
-
-def register_strategy(strategy=None, *, replace: bool = False):
-    """Register a :class:`SearchStrategy` class or instance.
-
-    Usable as a bare decorator (``@register_strategy``), a parameterized
-    one (``@register_strategy(replace=True)``), or a plain call
-    (``register_strategy(instance)``).  Classes are instantiated with no
-    arguments; pre-built instances register as-is (use this for
-    parameterized variants).  Returns the decorated object unchanged.
-    """
-    def _register(obj):
-        instance = obj() if isinstance(obj, type) else obj
-        if not isinstance(instance, SearchStrategy):
-            raise TypeError(
-                f"register_strategy needs a SearchStrategy subclass or "
-                f"instance, got {obj!r}")
-        name = instance.name
-        if not name:
-            raise ValueError(
-                f"{type(instance).__name__} has no `name`; set the class "
-                f"attribute before registering")
-        if name in _REGISTRY and not replace:
-            raise ValueError(
-                f"strategy {name!r} is already registered "
-                f"({_REGISTRY[name]!r}); pass replace=True to override")
-        _REGISTRY[name] = instance
-        return obj
-
-    if strategy is None:
-        return _register
-    return _register(strategy)
-
-
-def unregister_strategy(name: str) -> None:
-    """Remove a registered strategy (primarily for test cleanup)."""
-    _REGISTRY.pop(name, None)
-
-
-def strategy_names() -> tuple[str, ...]:
-    """Registered names, in registration order (built-ins first)."""
-    return tuple(_REGISTRY)
-
-
-def available_strategies() -> dict[str, SearchStrategy]:
-    """Name -> instance snapshot of the registry."""
-    return dict(_REGISTRY)
-
-
-def get_strategy(name: str) -> SearchStrategy:
-    """Look up a registered strategy; ``KeyError`` with a did-you-mean
-    hint."""
-    try:
-        return _REGISTRY[name]
-    except KeyError:
-        raise KeyError(
-            f"unknown strategy {name!r}{did_you_mean(name, _REGISTRY)}; "
-            f"registered "
-            f"strategies: {list(_REGISTRY)}") from None
+STRATEGY_REGISTRY: Registry[SearchStrategy] = Registry(
+    "strategy", SearchStrategy, plural="strategies")
+register_strategy = STRATEGY_REGISTRY.register
+unregister_strategy = STRATEGY_REGISTRY.unregister
+strategy_names = STRATEGY_REGISTRY.names
+available_strategies = STRATEGY_REGISTRY.snapshot
+get_strategy = STRATEGY_REGISTRY.get
 
 
 def resolve_strategy(strategy=None) -> SearchStrategy:

@@ -14,15 +14,13 @@ with the simulators.
 
 from __future__ import annotations
 
-import time
 from collections import OrderedDict
 from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
 
-from ..obs import get_tracer
-from ..obs.kernel import KERNEL
+from ..obs.kernel import KERNEL, kernel_event
 from ..paulis import bitops
 from ..circuits.circuit import Circuit
 from ..circuits.gates import get_gate
@@ -111,25 +109,19 @@ class CliffordTableau:
         return cls(PauliTable(x, z))
 
     @classmethod
-    def from_circuit(cls, circuit: Circuit,
-                     packed: bool = True) -> "CliffordTableau":
+    def from_circuit(cls, circuit: Circuit) -> "CliffordTableau":
         """Tableau of a bound Clifford circuit (raises if non-Clifford).
 
-        ``packed=True`` (the default) runs the gate loop on the word-packed
-        layout; the result is bit-identical to the boolean-matrix oracle
-        (``packed=False``), which equivalence tests keep exercising.
+        The gate loop runs on the word-packed layout.
         """
         if not circuit.is_clifford():
             raise ValueError("circuit is not Clifford")
-        tableau = cls.identity(circuit.num_qubits)
-        rows = (PackedPauliTable.from_table(tableau.rows) if packed
-                else tableau.rows)
+        rows = PackedPauliTable.from_table(
+            cls.identity(circuit.num_qubits).rows)
         for inst in circuit.instructions:
             gate = gate_tableau(inst.name, tuple(float(p) for p in inst.params))
             apply_gate_to_table(rows, gate, inst.qubits)
-        if packed:
-            return cls(rows.to_table())
-        return tableau
+        return cls(rows.to_table())
 
     # ------------------------------------------------------------------
     # Conjugation
@@ -152,20 +144,16 @@ class CliffordTableau:
             if self._packed_rows is None:
                 self._packed_rows = PackedPauliTable.from_table(self.rows)
             generators = self._packed_rows
-            tracer = get_tracer()
-            before = KERNEL.snapshot() if tracer.enabled else None
-            t0 = time.perf_counter() if tracer.enabled else 0.0
-            acc = PackedPauliTable.identity(table.num_rows, n)
-            acc.phase_exp = table.phase_exp.copy()
-            for k in range(n):
-                acc.mul_table_row_on_rows(table.z_column(k), generators, n + k)
-            for k in range(n):
-                acc.mul_table_row_on_rows(table.x_column(k), generators, k)
-            if before is not None:
-                delta = KERNEL.delta(before)
-                tracer.event("kernel.conjugate_table",
-                             time.perf_counter() - t0,
-                             words=delta["words"], rows=delta["rows"])
+            with kernel_event("kernel.conjugate_table", words="words",
+                              rows="rows"):
+                acc = PackedPauliTable.identity(table.num_rows, n)
+                acc.phase_exp = table.phase_exp.copy()
+                for k in range(n):
+                    acc.mul_table_row_on_rows(table.z_column(k), generators,
+                                              n + k)
+                for k in range(n):
+                    acc.mul_table_row_on_rows(table.x_column(k), generators,
+                                              k)
             return acc
         acc = PauliTable.identity(table.num_rows, n)
         acc.phase_exp = table.phase_exp.copy()

@@ -15,6 +15,7 @@ import math
 import numpy as np
 import pytest
 
+import pauli_oracle
 from repro.circuits import Circuit
 from repro.paulis import PackedPauliTable, PauliString, PauliSum, PauliTable
 from repro.paulis import bitops
@@ -367,8 +368,11 @@ class TestConjugationEquivalence:
     def test_from_circuit_packed_matches_bool(self, n):
         rng = np.random.default_rng(n + 70)
         circuit = _random_clifford_circuit(n, 30, rng)
-        assert (CliffordTableau.from_circuit(circuit, packed=True)
-                == CliffordTableau.from_circuit(circuit, packed=False))
+        packed = CliffordTableau.from_circuit(circuit)
+        oracle = pauli_oracle.from_circuit(circuit)
+        assert packed == oracle
+        np.testing.assert_array_equal(packed.rows.phase_exp,
+                                      oracle.rows.phase_exp)
 
     @pytest.mark.parametrize("n", [1, 5, 65])
     def test_conjugate_table_packed_matches_bool(self, n):
@@ -391,8 +395,8 @@ class TestTransformationEquivalence:
         ham = ising_model(n, 1.0)
         rng = np.random.default_rng(n)
         gamma = rng.integers(0, 4, num_transformation_parameters(n))
-        packed = transform_table(ham, gamma, packed=True)
-        table = transform_table(ham, gamma, packed=False)
+        packed = transform_table(ham, gamma)
+        table = pauli_oracle.transform_table(ham, gamma)
         assert isinstance(packed, PackedPauliTable)
         assert_tables_equal(packed, table)
 
@@ -407,8 +411,8 @@ class TestTransformationEquivalence:
         rng = np.random.default_rng(n + 1)
         gammas = rng.integers(0, 4,
                               size=(9, num_transformation_parameters(n)))
-        packed = transform_table_many(ham, gammas, packed=True)
-        table = transform_table_many(ham, gammas, packed=False)
+        packed = transform_table_many(ham, gammas)
+        table = pauli_oracle.transform_table_many(ham, gammas)
         assert isinstance(packed, PackedPauliTable)
         assert_tables_equal(packed, table)
 
@@ -423,17 +427,18 @@ class TestTransformationEquivalence:
         noise = NoiseModel.uniform(n, depol_1q=1e-3, depol_2q=8e-3,
                                    readout=2e-2, t1=80e-6)
         problem = VQEProblem.logical(ham, noise_model=noise)
-        cls = {"clapton": ClaptonLoss, "cafqa": CafqaLoss,
-               "ncafqa": NcafqaLoss}[loss_name]
+        cls, oracle = {
+            "clapton": (ClaptonLoss, pauli_oracle.clapton_losses),
+            "cafqa": (CafqaLoss, pauli_oracle.cafqa_losses),
+            "ncafqa": (NcafqaLoss, pauli_oracle.cafqa_losses)}[loss_name]
         dim = (problem.num_transformation_parameters
                if loss_name == "clapton" else problem.num_vqe_parameters)
         rng = np.random.default_rng(11)
         genomes = rng.integers(0, 4, size=(12, dim))
-        loss_p = cls(problem, packed=True)
-        loss_b = cls(problem, packed=False)
-        np.testing.assert_array_equal(loss_p.evaluate_many(genomes),
-                                      loss_b.evaluate_many(genomes))
-        np.testing.assert_array_equal(loss_p(genomes[0]), loss_b(genomes[0]))
+        loss = cls(problem)
+        expected = oracle(loss, genomes)
+        np.testing.assert_array_equal(loss.evaluate_many(genomes), expected)
+        np.testing.assert_array_equal(loss(genomes[0]), expected[0])
 
     def test_embed_table_packed(self):
         from repro.core.transformation import embed_table

@@ -108,6 +108,9 @@ class TestSpec:
     def test_rejects_bad_engine_overrides_early(self):
         with pytest.raises(ValueError, match="engine_overrides"):
             tiny_spec(engine_overrides={"populaton_size": 10})  # typo
+        # removed engine knob: campaigns shard tasks, not engine instances
+        with pytest.raises(ValueError, match="bad engine_overrides"):
+            tiny_spec(engine_overrides={"num_processes": 2})
 
     def test_rejects_bad_base_noise_and_backends(self):
         with pytest.raises(ValueError, match="base_noise"):

@@ -24,6 +24,7 @@ from repro.campaigns.service.state import ServiceState
 from repro.cli import main
 from repro.execution import ProcessExecutor, ThreadExecutor
 from repro.obs import (
+    KERNEL,
     REGISTRY,
     JsonlTracer,
     MetricRegistry,
@@ -379,6 +380,121 @@ class TestInstrumentation:
         loss.evaluate_many(gammas)
         assert batches.total() == before_b + 1
         assert evals.total() == before_e + 5
+
+
+# ----------------------------------------------------------------------
+# Kernel events: one aggregated trace event per batched packed walk
+# ----------------------------------------------------------------------
+def kernel_problem():
+    from repro.core import VQEProblem
+    from repro.hamiltonians import ising_model
+    from repro.noise import NoiseModel
+
+    nm = NoiseModel.uniform(4, depol_1q=1e-3, depol_2q=1e-2, readout=0.02,
+                            t1=80e-6)
+    return VQEProblem.logical(ising_model(4, 1.0), noise_model=nm)
+
+
+def kernel_events(tracer, name):
+    return [s for s in tracer.spans if s["name"] == name]
+
+
+class TestKernelEvent:
+    def test_clapton_loss_emits_one_fused_levels_event(self):
+        from repro.core import ClaptonLoss
+
+        problem = kernel_problem()
+        gammas = np.random.default_rng(0).integers(
+            0, 4, size=(6, problem.num_transformation_parameters))
+        loss = ClaptonLoss(problem)
+        before = KERNEL.snapshot()
+        with use_tracer(RecordingTracer()) as tracer:
+            loss.evaluate_many(gammas)
+        delta = KERNEL.delta(before)
+        (event,) = kernel_events(tracer, "kernel.fused_levels")
+        (span,) = kernel_events(tracer, "loss.evaluate_many")
+        assert event["parent"] == span["id"]
+        assert event["tags"]["passes"] == delta["fused_passes"] > 0
+        # the noise walk after the transformation also runs the kernel
+        assert 0 < event["tags"]["words"] <= delta["words"]
+        assert 0 < event["tags"]["rows"] <= delta["rows"]
+
+    def test_transform_tags_equal_kernel_delta(self):
+        from repro.core.transformation import transform_table_many
+
+        problem = kernel_problem()
+        gammas = np.random.default_rng(1).integers(
+            0, 4, size=(5, problem.num_transformation_parameters))
+        with use_tracer(RecordingTracer()) as tracer:
+            before = KERNEL.snapshot()
+            transform_table_many(problem.hamiltonian, gammas)
+            delta = KERNEL.delta(before)
+        (event,) = kernel_events(tracer, "kernel.fused_levels")
+        assert event["tags"] == {"words": delta["words"],
+                                 "rows": delta["rows"],
+                                 "passes": delta["fused_passes"]}
+        assert delta["words"] > 0
+
+    def test_cafqa_loss_emits_one_fused_levels_event(self):
+        from repro.core import CafqaLoss
+
+        problem = kernel_problem()
+        genomes = np.random.default_rng(2).integers(
+            0, 4, size=(6, problem.num_vqe_parameters))
+        loss = CafqaLoss(problem)
+        with use_tracer(RecordingTracer()) as tracer:
+            before = KERNEL.snapshot()
+            loss.evaluate_many(genomes)
+            delta = KERNEL.delta(before)
+        (event,) = kernel_events(tracer, "kernel.fused_levels")
+        # noiseless CAFQA runs no kernel work outside the fused walk
+        assert event["tags"] == {"words": delta["words"],
+                                 "rows": delta["rows"],
+                                 "passes": delta["fused_passes"]}
+        assert delta["fused_passes"] > 0
+
+    def test_packed_conjugate_table_emits_one_event(self):
+        from repro.circuits import Circuit
+        from repro.paulis import PackedPauliTable
+        from repro.stabilizer import CliffordTableau
+
+        circ = Circuit(5)
+        for q in range(5):
+            circ.h(q)
+        for q in range(4):
+            circ.cx(q, q + 1)
+        tableau = CliffordTableau.from_circuit(circ)
+        table = PackedPauliTable.from_labels(["XZIYI", "ZZZZZ", "IXIXI"])
+        with use_tracer(RecordingTracer()) as tracer:
+            before = KERNEL.snapshot()
+            tableau.conjugate_table(table)
+            delta = KERNEL.delta(before)
+        (event,) = kernel_events(tracer, "kernel.conjugate_table")
+        assert event["tags"] == {"words": delta["words"],
+                                 "rows": delta["rows"]}
+        assert delta["words"] > 0
+
+    def test_tracing_off_takes_no_snapshot(self, monkeypatch):
+        from repro.core import CafqaLoss, ClaptonLoss
+        from repro.obs import KernelCounters, NullTracer
+        from repro.paulis import PackedPauliTable
+        from repro.stabilizer import CliffordTableau
+
+        calls = []
+        monkeypatch.setattr(KernelCounters, "snapshot",
+                            lambda self: calls.append("snapshot"))
+        monkeypatch.setattr(NullTracer, "event",
+                            lambda self, *a, **k: calls.append("event"))
+        assert not get_tracer().enabled
+        problem = kernel_problem()
+        rng = np.random.default_rng(3)
+        ClaptonLoss(problem).evaluate_many(rng.integers(
+            0, 4, size=(4, problem.num_transformation_parameters)))
+        CafqaLoss(problem).evaluate_many(rng.integers(
+            0, 4, size=(4, problem.num_vqe_parameters)))
+        CliffordTableau.identity(2).conjugate_table(
+            PackedPauliTable.from_labels(["XZ"]))
+        assert calls == []
 
 
 # ----------------------------------------------------------------------

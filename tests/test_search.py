@@ -290,36 +290,6 @@ class TestExperimentIntegration:
             methods="cafqa", config=TINY, strategy="tabu", budget=budget)
         assert result.runs["cafqa"].engine_evaluations == 23
 
-    def test_legacy_search_override_still_runs(self):
-        """A pre-axis method overriding search(problem, config, executor)
-        keeps working when no strategy is requested, and fails with a
-        clear message when one is."""
-        from repro.methods import InitializationMethod
-        from repro.methods.extras import _AnsatzAngleMethod
-        from repro.optim import EngineResult
-
-        class OldStyle(_AnsatzAngleMethod, InitializationMethod):
-            name = "old_style"
-            description = "legacy three-argument search override"
-
-            def search(self, problem, config=None, executor=None):
-                genome = np.zeros(self.num_parameters(problem),
-                                  dtype=np.int64)
-                return EngineResult(best_genome=genome, best_loss=0.0,
-                                    rounds=[], num_evaluations=1,
-                                    total_seconds=0.0)
-
-        h, problem = tiny_problem()
-        result = OldStyle().run(problem, config=TINY)
-        assert result.search is None and result.loss == 0.0
-        # the default strategy is "no strategy asked for": the CLI and
-        # campaign tasks always pass multi_ga explicitly
-        explicit = OldStyle().run(problem, config=TINY,
-                                  strategy="multi_ga")
-        assert explicit.loss == 0.0
-        with pytest.raises(TypeError, match="strategy/budget axis"):
-            OldStyle().run(problem, config=TINY, strategy="annealing")
-
 
 # ----------------------------------------------------------------------
 # Campaigns
