@@ -13,27 +13,34 @@ Reductions vs the paper (EXPERIMENTS.md records the full mapping):
 * hanoi "hardware" energies come from the hardware twin.
 """
 
-import pytest
 from conftest import print_banner, run_once
 
 from repro.backends import FakeHanoi, FakeMumbai, FakeNairobi, FakeToronto
-from repro.core import VQEProblem
-from repro.experiments import compare_initializations, format_comparison_table
+from repro.experiments import Experiment
 from repro.hamiltonians import get_benchmark
 from repro.metrics import geometric_mean
 
 
 def _gather(backend, names, num_qubits, config, vqe_iterations=0,
             hardware=None):
-    rows = []
-    for name in names:
-        hamiltonian = get_benchmark(name, num_qubits).hamiltonian()
-        problem = VQEProblem.from_backend(hamiltonian, backend,
-                                          hardware=hardware)
-        rows.append(compare_initializations(name, hamiltonian, problem,
-                                            config=config,
-                                            vqe_iterations=vqe_iterations))
-    return rows
+    return [Experiment(get_benchmark(name, num_qubits).hamiltonian(),
+                       backend=backend, hardware=hardware, name=name)
+            .run(config=config, vqe_iterations=vqe_iterations)
+            for name in names]
+
+
+def _print_table(results) -> None:
+    """Fixed-width device-model table mirroring Fig. 5's content."""
+    print(f"{'benchmark':<14} {'E0':>10} "
+          f"{'cafqa':>10} {'ncafqa':>10} {'clapton':>10} "
+          f"{'eta_vs_cafqa':>13} {'eta_vs_ncafqa':>14}")
+    for result in results:
+        e = {m: ev.device_model for m, ev in result.evaluations.items()}
+        print(f"{result.benchmark:<14} {result.e0:>10.4f} "
+              f"{e['cafqa']:>10.4f} {e['ncafqa']:>10.4f} "
+              f"{e['clapton']:>10.4f} "
+              f"{result.eta_initial('cafqa'):>13.2f} "
+              f"{result.eta_initial('ncafqa'):>14.2f}")
 
 
 def test_fig5_nairobi_physics(benchmark, bench_config):
@@ -44,7 +51,7 @@ def test_fig5_nairobi_physics(benchmark, bench_config):
         backend, names, 5, bench_config, vqe_iterations=30))
 
     print_banner("Figure 5 | nairobi (model) | physics, 5q | initial+final")
-    print(format_comparison_table(rows))
+    _print_table(rows)
     print(f"\n{'benchmark':<14} {'eta_f vs cafqa':>15} {'eta_f vs ncafqa':>16}")
     for row in rows:
         print(f"{row.benchmark:<14} {row.eta_final('cafqa'):>15.2f} "
@@ -68,7 +75,7 @@ def test_fig5_toronto_physics_and_chemistry(benchmark, bench_config):
     rows = run_once(benchmark, experiment)
 
     print_banner("Figure 5 | toronto (model) | physics 6q + LiH 10q | initial")
-    print(format_comparison_table(rows))
+    _print_table(rows)
     etas_cafqa = [max(r.eta_initial("cafqa"), 1e-3) for r in rows]
     etas_ncafqa = [max(r.eta_initial("ncafqa"), 1e-3) for r in rows]
     print(f"\ngeometric mean eta: vs CAFQA {geometric_mean(etas_cafqa):.2f}, "
@@ -87,7 +94,7 @@ def test_fig5_mumbai_physics(benchmark, bench_config):
                                                bench_config))
 
     print_banner("Figure 5 | mumbai (model) | physics, 6q | initial points")
-    print(format_comparison_table(rows))
+    _print_table(rows)
     etas = [max(r.eta_initial("cafqa"), 1e-3) for r in rows]
     print(f"\ngeometric mean eta vs CAFQA: {geometric_mean(etas):.2f}")
     # mumbai is the cleanest fake model; gains are smaller but present

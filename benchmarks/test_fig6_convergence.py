@@ -13,8 +13,7 @@ stays competitive through convergence.
 from conftest import print_banner, run_once
 
 from repro.backends import FakeHanoi, FakeToronto
-from repro.core import VQEProblem
-from repro.experiments import convergence_traces
+from repro.experiments import Experiment
 from repro.hamiltonians import ground_state_energy, xxz_model
 
 NUM_QUBITS = 6
@@ -23,10 +22,10 @@ VQE_ITERATIONS = 50
 
 def _panel(benchmark, bench_config, coupling, backend, hardware=None):
     hamiltonian = xxz_model(NUM_QUBITS, coupling)
-    problem = VQEProblem.from_backend(hamiltonian, backend,
-                                      hardware=hardware)
-    traces = run_once(benchmark, lambda: convergence_traces(
-        hamiltonian, problem, bench_config, VQE_ITERATIONS))
+    experiment = Experiment(hamiltonian, backend=backend, hardware=hardware)
+    traces = run_once(benchmark, lambda: experiment.run(
+        config=bench_config, vqe_iterations=VQE_ITERATIONS,
+        evaluate_tiers=False).traces)
     e0 = ground_state_energy(hamiltonian)
 
     print_banner(f"Figure 6 | XXZ J={coupling:.2f}, {NUM_QUBITS}q, "

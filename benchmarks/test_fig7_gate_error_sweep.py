@@ -10,11 +10,10 @@ seven points, three T1 values).  Shape claims asserted: eta >= ~1 across
 the sweep and stronger relaxation (shorter T1) does not hurt Clapton.
 """
 
-import numpy as np
 from conftest import print_banner, run_once
 
-from repro.experiments import sweep_relative_improvement
-from repro.hamiltonians import get_benchmark
+from repro.experiments import Experiment
+from repro.hamiltonians import get_benchmark, ground_state_energy
 from repro.noise import NoiseModel
 
 GATE_ERRORS = [5e-4, 2e-3, 5e-3]
@@ -23,10 +22,13 @@ READOUT = 2e-2
 
 
 def _sweep(hamiltonian, config, t1):
-    models = [NoiseModel.uniform(hamiltonian.num_qubits, depol_1q=p,
-                                 depol_2q=10 * p, readout=READOUT, t1=t1)
-              for p in GATE_ERRORS]
-    return sweep_relative_improvement(hamiltonian, models, config=config)
+    """eta(clapton vs ncafqa) at each gate-error point."""
+    e0 = ground_state_energy(hamiltonian)
+    return [Experiment(hamiltonian, e0=e0, noise_model=NoiseModel.uniform(
+                hamiltonian.num_qubits, depol_1q=p, depol_2q=10 * p,
+                readout=READOUT, t1=t1))
+            .run(("ncafqa", "clapton"), config=config).eta_initial("ncafqa")
+            for p in GATE_ERRORS]
 
 
 def test_fig7_ising(benchmark, bench_config):

@@ -8,8 +8,8 @@ readout error (modest eta) while chemistry still profits significantly.
 
 from conftest import print_banner, run_once
 
-from repro.experiments import sweep_relative_improvement
-from repro.hamiltonians import get_benchmark
+from repro.experiments import Experiment
+from repro.hamiltonians import get_benchmark, ground_state_energy
 from repro.noise import NoiseModel
 
 MEAS_ERRORS = [5e-3, 3e-2, 9.5e-2]
@@ -18,10 +18,13 @@ T1 = 150e-6
 
 
 def _sweep(hamiltonian, config):
-    models = [NoiseModel.uniform(hamiltonian.num_qubits, depol_1q=GATE_1Q,
-                                 depol_2q=10 * GATE_1Q, readout=p, t1=T1)
-              for p in MEAS_ERRORS]
-    return sweep_relative_improvement(hamiltonian, models, config=config)
+    """eta(clapton vs ncafqa) at each measurement-error point."""
+    e0 = ground_state_energy(hamiltonian)
+    return [Experiment(hamiltonian, e0=e0, noise_model=NoiseModel.uniform(
+                hamiltonian.num_qubits, depol_1q=GATE_1Q,
+                depol_2q=10 * GATE_1Q, readout=p, t1=T1))
+            .run(("ncafqa", "clapton"), config=config).eta_initial("ncafqa")
+            for p in MEAS_ERRORS]
 
 
 def test_fig8_ising(benchmark, bench_config):

@@ -8,10 +8,16 @@ initial VQE point.
 Run:  python examples/noise_channel_study.py
 """
 
-import numpy as np
-
 from repro import NoiseModel, ground_state_energy, ising_model
-from repro.experiments import SMOKE_ENGINE, sweep_relative_improvement
+from repro.experiments import SMOKE_ENGINE, Experiment
+
+
+def sweep(hamiltonian, models, e0) -> list[float]:
+    """eta(clapton vs ncafqa) at the initial point, one per noise model."""
+    return [Experiment(hamiltonian, noise_model=model, e0=e0)
+            .run(("ncafqa", "clapton"), config=SMOKE_ENGINE)
+            .eta_initial("ncafqa")
+            for model in models]
 
 
 def main() -> None:
@@ -26,8 +32,7 @@ def main() -> None:
               for p in gate_errors]
     print(f"\ngate-error sweep (2q error = 10p, T1 = {t1 * 1e6:.0f} us, "
           "readout 2%):")
-    etas = sweep_relative_improvement(hamiltonian, models,
-                                      config=SMOKE_ENGINE)
+    etas = sweep(hamiltonian, models, e0)
     for p, eta in zip(gate_errors, etas):
         print(f"  p = {p:.0e}:  eta vs ncafqa = {eta:.2f}")
 
@@ -36,8 +41,7 @@ def main() -> None:
                                  readout=p, t1=t1)
               for p in meas_errors]
     print("\nmeasurement-error sweep (gate errors fixed at 5e-4 / 5e-3):")
-    etas = sweep_relative_improvement(hamiltonian, models,
-                                      config=SMOKE_ENGINE)
+    etas = sweep(hamiltonian, models, e0)
     for p, eta in zip(meas_errors, etas):
         print(f"  p = {p:.0e}:  eta vs ncafqa = {eta:.2f}")
 

@@ -135,24 +135,17 @@ class CampaignRunner:
     """
 
     def __init__(self, spec: CampaignSpec, store: ResultStore,
-                 executor: Executor | None = None,
-                 tasks: list[TaskSpec] | None = None):
+                 executor: Executor | None = None):
         self.spec = spec
         self.store = store
         self.executor = executor
-        self._tasks = tasks
-
-    def tasks(self) -> list[TaskSpec]:
-        """The work list: the spec's grid, or the explicit override
-        (one-off campaigns over hand-built tasks)."""
-        return self._tasks if self._tasks is not None else self.spec.tasks()
 
     def pending_tasks(self, retry_failed: bool = True) -> list[TaskSpec]:
         """Tasks the store has not completed, in grid order."""
         skip = self.store.completed_ids()
         if not retry_failed:
             skip = skip | self.store.failed_ids()
-        return [t for t in self.tasks() if t.task_id not in skip]
+        return [t for t in self.spec.tasks() if t.task_id not in skip]
 
     def run(self, *, resume: bool = True, retry_failed: bool = True,
             max_tasks: int | None = None,
@@ -178,7 +171,7 @@ class CampaignRunner:
                 ``backoff_seconds`` the policy imposed before it.
         """
         retry = retry or NO_RETRY
-        tasks = self.tasks()
+        tasks = self.spec.tasks()
         if resume:
             skip = self.store.completed_ids()
             if not retry_failed:

@@ -23,8 +23,8 @@ mid-log, since that indicates real damage.  Re-recording a task id appends
 a new line and the *latest* record wins -- the log is an audit trail, the
 index is the truth.
 
-``ResultStore.ephemeral`` keeps the same interface fully in memory for
-one-off campaigns (the legacy ``sweep_relative_improvement`` wrapper).
+``ResultStore.ephemeral`` keeps the same interface fully in memory, for
+runs that need no files on disk.
 """
 
 from __future__ import annotations
@@ -207,10 +207,9 @@ class ResultStore:
     def counts(self) -> dict[str, int]:
         """``{"total", "done", "failed", "pending"}`` against the spec.
 
-        Campaigns run with an explicit task-list override (see
-        ``CampaignRunner(tasks=...)``) may record more tasks than the
-        spec's grid expands to; the total grows to cover them so counts
-        stay consistent.
+        A store may hold records of tasks outside the spec's grid (an
+        appended record the grid does not expand to); the total grows
+        to cover them so counts stay consistent.
         """
         total = max(self.spec.num_tasks, len(self._records))
         done = len(self.completed_ids())

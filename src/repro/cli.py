@@ -3,7 +3,6 @@
 Thin wrappers over the :class:`~repro.experiments.Experiment` façade and
 the campaign subsystem:
 
-    repro list                      # benchmark suite (fixed names)
     repro benchmarks --kind physics # registered benchmarks + families
     repro methods                   # registered initialization methods
     repro strategies                # registered search strategies
@@ -76,37 +75,16 @@ def _trace_context(trace: str | None, default_path) -> tuple:
     return use_tracer(JsonlTracer(path)), path
 
 
-def _cmd_list(args) -> int:
-    from .hamiltonians import paper_benchmarks
+def _cmd_registry(args) -> int:
+    """List one registry axis: ``repro methods|strategies|mitigations``."""
+    from importlib import import_module
 
-    for bench in paper_benchmarks(args.qubits):
-        print(f"{bench.name:<14} {bench.kind:<10} {bench.num_qubits}q")
-    return 0
-
-
-def _cmd_methods(args) -> int:
-    from .methods import available_methods
-
-    for name, method in available_methods().items():
-        print(f"{name:<18} {method.description}")
-    return 0
-
-
-def _cmd_strategies(args) -> int:
-    from .search import available_strategies
-
-    for name, strategy in available_strategies().items():
-        print(f"{name:<18} {strategy.description}")
-    return 0
-
-
-def _cmd_mitigations(args) -> int:
-    from .mitigation import available_mitigations
-
-    for name, mitigation in available_mitigations().items():
-        print(f"{name:<18} {mitigation.description}")
-    print("\ncompose with ':' parameters and '|' stages, e.g. "
-          "\"zne:folds=5,fit=richardson|readout\"")
+    module, attr = args.registry
+    registry = getattr(import_module(module, __package__), attr)
+    for name, entry in registry.snapshot().items():
+        print(f"{name:<18} {entry.description}")
+    if args.grammar:
+        print(f"\n{args.grammar}")
     return 0
 
 
@@ -143,8 +121,7 @@ def _resolve_benchmark(name: str, qubits: int):
         return get_benchmark(name, qubits)
     except (KeyError, ValueError) as exc:
         print(exc.args[0], file=sys.stderr)
-        print(f"see `repro list --qubits {qubits}` and `repro benchmarks`",
-              file=sys.stderr)
+        print(f"see `repro benchmarks --qubits {qubits}`", file=sys.stderr)
         return None
 
 
@@ -1024,21 +1001,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro", description="Clapton reproduction command line")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_list = sub.add_parser("list", help="list the benchmark suite")
-    p_list.add_argument("--qubits", type=int, default=10)
-    p_list.set_defaults(fn=_cmd_list)
-
-    p_methods = sub.add_parser(
-        "methods", help="list registered initialization methods")
-    p_methods.set_defaults(fn=_cmd_methods)
-
-    p_strategies = sub.add_parser(
-        "strategies", help="list registered search strategies")
-    p_strategies.set_defaults(fn=_cmd_strategies)
-
-    p_mitigations = sub.add_parser(
-        "mitigations", help="list registered mitigation strategies")
-    p_mitigations.set_defaults(fn=_cmd_mitigations)
+    for verb, what, registry, grammar in (
+            ("methods", "initialization methods",
+             (".methods.registry", "METHOD_REGISTRY"), None),
+            ("strategies", "search strategies",
+             (".search.registry", "STRATEGY_REGISTRY"), None),
+            ("mitigations", "mitigation strategies",
+             (".mitigation.registry", "MITIGATION_REGISTRY"),
+             "compose with ':' parameters and '|' stages, e.g. "
+             "\"zne:folds=5,fit=richardson|readout\"")):
+        sub.add_parser(verb, help=f"list registered {what}").set_defaults(
+            fn=_cmd_registry, registry=registry, grammar=grammar)
 
     p_bench = sub.add_parser(
         "benchmarks",

@@ -1,7 +1,7 @@
 """Unified energy-estimation API: one protocol, three engines, batch-first.
 
 Every evaluation surface of the reproduction (the Figure-4 GA losses, the
-SPSA/VQE loop, the figure runners, the CLI) estimates Pauli-sum energies of
+SPSA/VQE loop, the figure benchmarks, the CLI) estimates Pauli-sum energies of
 the bound ansatz ``A'(theta)``.  This module gives them a single seam:
 
 * :class:`ExactEstimator` (``mode="exact"``) -- full density-matrix

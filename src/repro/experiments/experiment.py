@@ -7,10 +7,6 @@ evaluation, and optionally the SPSA/VQE phase -- and returns an
 :class:`ExperimentResult` that carries everything downstream consumers
 need: per-method evaluations, VQE traces, engine bookkeeping, wall times,
 and a JSON round trip.
-
-The legacy runners (``compare_initializations``, ``convergence_traces``,
-``sweep_relative_improvement``) are thin wrappers over this class, so
-every surface produces identical numbers for identical seeds.
 """
 
 from __future__ import annotations
@@ -227,15 +223,6 @@ class ExperimentResult:
                 "eta_final needs VQE traces; run with vqe_iterations > 0")
         return relative_improvement(self.e0, base.vqe.final_energy,
                                     imp.vqe.final_energy)
-
-    def to_row(self):
-        """The legacy :class:`~repro.experiments.runners.ComparisonRow`."""
-        from .runners import ComparisonRow
-
-        return ComparisonRow(
-            benchmark=self.benchmark, e0=self.e0, e_mixed=self.e_mixed,
-            evaluations=self.evaluations, results=dict(self.results),
-            vqe=self.traces)
 
     # ------------------------------------------------------------------
     # JSON round trip

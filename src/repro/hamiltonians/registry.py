@@ -29,11 +29,12 @@ and reports.
 from __future__ import annotations
 
 import inspect
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 from ..naming import did_you_mean
 from ..paulis.pauli_sum import PauliSum
+from ..registry import Registry, parse_params
 from .spin_models import PAPER_COUPLINGS, ising_model, xxz_model
 
 
@@ -69,6 +70,10 @@ _BUILD_CACHE: dict[tuple[str, int], PauliSum] = {}
 # ----------------------------------------------------------------------
 # Parameterized families
 # ----------------------------------------------------------------------
+def _n_width(params: dict) -> int:
+    return int(params.get("n", 0))
+
+
 @dataclass(frozen=True)
 class BenchmarkFamily:
     """A registered parameterized benchmark builder."""
@@ -78,8 +83,7 @@ class BenchmarkFamily:
     description: str
     builder: Callable[..., PauliSum]
     #: params -> register width; 0 means "unknown until built".
-    width: Callable[[dict], int] = field(
-        default=lambda params: int(params.get("n", 0)))
+    width: Callable[[dict], int] = _n_width
 
     @property
     def params(self) -> list[str]:
@@ -90,7 +94,10 @@ class BenchmarkFamily:
         return f"{self.name}:" + ",".join(f"{p}=..." for p in self.params)
 
 
-_FAMILIES: dict[str, BenchmarkFamily] = {}
+FAMILY_REGISTRY: Registry[BenchmarkFamily] = Registry(
+    "benchmark family", BenchmarkFamily, plural="benchmark families")
+unregister_benchmark = FAMILY_REGISTRY.unregister
+benchmark_families = FAMILY_REGISTRY.snapshot
 _SUITES: dict[str, tuple[str, ...]] = {}
 
 
@@ -119,19 +126,17 @@ def register_benchmark(builder=None, *, name: str | None = None,
             raise ValueError(
                 f"benchmark family name {family_name!r} may not contain "
                 f"':', ',' or '='")
-        if family_name in _FAMILIES and not replace:
-            raise ValueError(
-                f"benchmark family {family_name!r} is already registered; "
-                f"pass replace=True to override")
         if num_qubits is None:
-            width = lambda params: int(params.get("n", 0))  # noqa: E731
+            width = _n_width
         elif callable(num_qubits):
             width = num_qubits
         else:
             width = lambda params, _n=int(num_qubits): _n  # noqa: E731
-        _FAMILIES[family_name] = BenchmarkFamily(
-            name=family_name, kind=kind, description=description,
-            builder=fn, width=width)
+        FAMILY_REGISTRY.register(
+            BenchmarkFamily(name=family_name, kind=kind,
+                            description=description, builder=fn,
+                            width=width),
+            replace=replace)
         return fn
 
     if builder is None:
@@ -139,62 +144,22 @@ def register_benchmark(builder=None, *, name: str | None = None,
     return _register(builder)
 
 
-def unregister_benchmark(name: str) -> None:
-    """Remove a registered family (primarily for test cleanup)."""
-    _FAMILIES.pop(name, None)
-
-
-def benchmark_families() -> dict[str, BenchmarkFamily]:
-    """Name -> family snapshot of the registry."""
-    return dict(_FAMILIES)
-
-
-def _parse_value(text: str):
-    if text.lower() in ("true", "false"):  # bool-ish flags (weighted=...)
-        return int(text.lower() == "true")
-    for parse in (int, float):
-        try:
-            return parse(text)
-        except ValueError:
-            continue
-    return text
-
-
 def parse_benchmark_spec(spec: str) -> tuple[str, dict]:
     """Split ``"family:key=value,..."`` into ``(family, params)``.
 
-    Values parse as int, then float, then stay strings.
+    Values parse as by :func:`repro.registry.parse_params`.
     """
     family, _, params_text = spec.partition(":")
-    params: dict = {}
-    if params_text.strip():
-        for item in params_text.split(","):
-            key, eq, value = item.partition("=")
-            if not eq or not key.strip():
-                raise ValueError(
-                    f"bad benchmark parameter {item.strip()!r} in "
-                    f"{spec!r}; expected key=value")
-            params[key.strip()] = _parse_value(value.strip())
+    params = (parse_params(params_text, spec, "benchmark")
+              if params_text.strip() else {})
     return family.strip(), params
 
 
-def _default_n(family_name: str, params: dict, num_qubits: int) -> dict:
-    """Fill a family's ``n`` parameter from ``num_qubits`` when unset."""
-    family = _FAMILIES.get(family_name)
-    if (family is not None and "n" not in params
-            and "n" in inspect.signature(family.builder).parameters):
+def _family_benchmark(spec: str, family_name: str, params: dict,
+                      num_qubits: int) -> Benchmark:
+    family = FAMILY_REGISTRY.get(family_name)  # KeyError did-you-mean
+    if "n" not in params and "n" in family.params:
         params = dict(params, n=num_qubits)
-    return params
-
-
-def _family_benchmark(spec: str, family_name: str,
-                      params: dict) -> Benchmark:
-    family = _FAMILIES.get(family_name)
-    if family is None:
-        hint = did_you_mean(family_name, _FAMILIES)
-        raise KeyError(
-            f"unknown benchmark family {family_name!r}{hint}; registered "
-            f"families: {sorted(_FAMILIES)}")
     try:
         bound = inspect.signature(family.builder).bind(**params)
     except TypeError as exc:
@@ -326,19 +291,18 @@ def get_benchmark(name: str, num_qubits: int = 10) -> Benchmark:
             f"in benchmark *lists* (campaign specs, expand_benchmarks)")
     if ":" in name:
         family, params = parse_benchmark_spec(name)
-        return _family_benchmark(name, family,
-                                 _default_n(family, params, num_qubits))
+        return _family_benchmark(name, family, params, num_qubits)
     for bench in paper_benchmarks(num_qubits):
         if bench.name == name:
             return bench
-    if name in _FAMILIES:
-        return _family_benchmark(name, name,
-                                 _default_n(name, {}, num_qubits))
+    if name in FAMILY_REGISTRY:
+        return _family_benchmark(name, name, {}, num_qubits)
     known = [b.name for b in paper_benchmarks(num_qubits)]
-    hint = did_you_mean(name, known + sorted(_FAMILIES))
+    families = sorted(FAMILY_REGISTRY.names())
+    hint = did_you_mean(name, known + families)
     raise KeyError(
         f"unknown benchmark {name!r}{hint}; known: {known}; families "
-        f"(parameterize as 'family:key=value,...'): {sorted(_FAMILIES)}")
+        f"(parameterize as 'family:key=value,...'): {families}")
 
 
 # ----------------------------------------------------------------------

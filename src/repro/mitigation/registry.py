@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import re
 
-from ..registry import Registry
+from ..registry import Registry, parse_params
 from .strategies import (
     ComposedMitigation,
     MitigationStrategy,
@@ -52,22 +52,14 @@ available_mitigations = MITIGATION_REGISTRY.snapshot
 get_mitigation = MITIGATION_REGISTRY.get
 
 
-def _parse_value(text: str):
-    for cast in (int, float):
-        try:
-            return cast(text)
-        except ValueError:
-            continue
-    return text
-
-
 def parse_mitigation(spec: str) -> MitigationStrategy:
     """Parse a declarative spec into a (possibly composed) strategy.
 
     Grammar: ``stage("|" stage)*`` where a stage is
     ``name(":" key "=" value ("," key "=" value)*)?``.  Stage names resolve
-    through the registry (did-you-mean on typos); parameters go through the
-    prototype's ``parameterize``.
+    through the registry (did-you-mean on typos); parameters parse as by
+    :func:`repro.registry.parse_params` and go through the prototype's
+    ``parameterize``.
     """
     stages = []
     for part in str(spec).split("|"):
@@ -76,15 +68,8 @@ def parse_mitigation(spec: str) -> MitigationStrategy:
             raise ValueError(f"empty stage in mitigation spec {spec!r}")
         name, colon, param_text = part.partition(":")
         base = get_mitigation(name.strip())
-        params = {}
-        if colon:
-            for fragment in param_text.split(","):
-                key, eq, value = fragment.partition("=")
-                if not eq or not key.strip():
-                    raise ValueError(
-                        f"malformed parameter {fragment!r} in mitigation "
-                        f"spec {spec!r}; expected key=value")
-                params[key.strip()] = _parse_value(value.strip())
+        params = (parse_params(param_text, spec, "mitigation") if colon
+                  else {})
         stages.append(base.parameterize(**params) if params else base)
     if len(stages) == 1:
         return stages[0]

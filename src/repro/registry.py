@@ -1,4 +1,5 @@
-"""One open name registry behind the method, strategy and mitigation axes.
+"""One open name registry behind the method, strategy, mitigation and
+benchmark-family axes.
 
 Each axis keeps a module-level :class:`Registry` instance and exports its
 bound methods under the axis's public names (``register_method``,
@@ -15,7 +16,9 @@ does::
         ...
 
 Lookups of unknown names fail with a did-you-mean suggestion naming the
-registered entries (via the shared :mod:`repro.naming` helper).
+registered entries (via the shared :mod:`repro.naming` helper).  The
+benchmark-family and mitigation axes also accept ``name:key=value,...``
+specs; :func:`parse_params` is the one parser of their parameter lists.
 """
 
 from __future__ import annotations
@@ -98,3 +101,36 @@ class Registry(Generic[T]):
                 f"unknown {self.kind} {name!r}"
                 f"{did_you_mean(name, self._entries)}; registered "
                 f"{self.plural}: {list(self._entries)}") from None
+
+
+def _parse_value(text: str):
+    if text.lower() in ("true", "false"):  # bool-ish flags (weighted=...)
+        return int(text.lower() == "true")
+    for parse in (int, float):
+        try:
+            return parse(text)
+        except ValueError:
+            continue
+    return text
+
+
+def parse_params(text: str, spec: str, what: str) -> dict:
+    """Parse the ``key=value,...`` part of a ``name:key=value,...`` spec.
+
+    Values parse as int, then float; ``true``/``false`` become 1/0 and
+    anything else stays a string.
+
+    Args:
+        text: The parameter list (after the ``:``).
+        spec: The whole spec, quoted in errors.
+        what: The spec's kind in errors (``"benchmark"``).
+    """
+    params: dict = {}
+    for item in text.split(","):
+        key, eq, value = item.partition("=")
+        if not eq or not key.strip():
+            raise ValueError(
+                f"bad {what} parameter {item.strip()!r} in {spec!r}; "
+                f"expected key=value")
+        params[key.strip()] = _parse_value(value.strip())
+    return params

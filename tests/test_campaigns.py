@@ -25,7 +25,6 @@ from repro.campaigns import (
     setting_label,
 )
 from repro.execution import ThreadExecutor
-from repro.experiments import sweep_relative_improvement
 from repro.hamiltonians import ising_model
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig
@@ -376,43 +375,6 @@ class TestAggregateReport:
     def test_report_on_empty_store(self, tmp_path):
         store = ResultStore.create(tmp_path / "s", tiny_spec())
         assert "No completed tasks yet" in render_report(store)
-
-
-class TestLegacySweepWrapper:
-    def make_inputs(self):
-        h = ising_model(3, 1.0)
-        models = [NoiseModel.uniform(3, depol_1q=p, depol_2q=10 * p,
-                                     readout=0.02, t1=100e-6)
-                  for p in (1e-3, 3e-3)]
-        return h, models
-
-    def test_emits_deprecation_warning(self):
-        h, models = self.make_inputs()
-        with pytest.warns(DeprecationWarning, match="CampaignRunner"):
-            sweep_relative_improvement(h, models[:1], config=TINY)
-
-    def test_failing_cell_raises_with_original_error(self):
-        h, _ = self.make_inputs()
-        wrong_width = [NoiseModel.uniform(5, depol_1q=1e-3)]
-        with pytest.warns(DeprecationWarning), \
-                pytest.raises(RuntimeError, match="noise model width"):
-            sweep_relative_improvement(h, wrong_width, config=TINY)
-
-    def test_numbers_identical_to_direct_experiments(self):
-        from repro.experiments import Experiment
-        from repro.hamiltonians import ground_state_energy
-
-        h, models = self.make_inputs()
-        e0 = ground_state_energy(h)
-        expected = []
-        for nm in models:
-            result = Experiment(h, noise_model=nm, e0=e0).run(
-                ("ncafqa", "clapton"), config=TINY)
-            expected.append(result.eta_initial("ncafqa",
-                                               tier="device_model"))
-        with pytest.warns(DeprecationWarning):
-            etas = sweep_relative_improvement(h, models, config=TINY)
-        assert etas == expected
 
 
 class TestExplicitTasks:

@@ -7,9 +7,14 @@ from repro.cli import build_parser, main
 
 class TestCLI:
     def test_list(self, capsys):
-        assert main(["list", "--qubits", "6"]) == 0
+        # `repro benchmarks` is the one benchmark-listing verb
+        with pytest.raises(SystemExit):
+            main(["list"])
+        capsys.readouterr()
+        assert main(["benchmarks", "--qubits", "6"]) == 0
         out = capsys.readouterr().out
         assert "ising_J0.25" in out and "H2O_l1.0" in out
+        assert "ising_J0.25            physics     6q" in out
 
     def test_ground_energy(self, capsys):
         assert main(["ground-energy", "xxz_J1.00", "--qubits", "4"]) == 0
@@ -75,7 +80,7 @@ class TestCLI:
         assert main(["run", "bogus_bench"]) == 2
         err = capsys.readouterr().err
         assert "unknown benchmark 'bogus_bench'" in err
-        assert "repro list" in err
+        assert "repro benchmarks" in err
         assert main(["ground-energy", "bogus_bench"]) == 2
 
     def test_run_seed_flag(self, capsys, monkeypatch):

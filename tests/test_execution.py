@@ -23,7 +23,7 @@ from repro.execution import (
     make_estimator,
     memoize_loss,
 )
-from repro.experiments import Experiment, ExperimentResult, compare_initializations
+from repro.experiments import Experiment, ExperimentResult
 from repro.hamiltonians import ising_model
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig, multi_ga_minimize
@@ -206,21 +206,14 @@ class TestMemoizeLoss:
 # Experiment façade
 # ----------------------------------------------------------------------
 class TestExperiment:
-    def test_reproduces_legacy_runner_exactly(self):
-        h = ising_model(3, 1.0)
-        nm = NoiseModel.uniform(3, depol_1q=1e-3, depol_2q=1e-2,
-                                readout=0.02, t1=80e-6)
-        row = compare_initializations(
-            "ising3", h, VQEProblem.logical(h, noise_model=nm),
-            config=ENGINE, vqe_iterations=4)
-        result = Experiment(h, noise_model=nm, name="ising3").run(
-            config=ENGINE, vqe_iterations=4)
-        assert result.benchmark == "ising3"
-        for method, evaluation in row.evaluations.items():
-            assert result.runs[method].evaluation == evaluation
-            assert (result.runs[method].vqe.final_energy
-                    == row.vqe[method].final_energy)
-        assert result.eta_initial("cafqa") == row.eta_initial("cafqa")
+    def test_traces_without_tier_evaluation(self):
+        """The Fig. 6 shape: VQE traces for a method subset, no tiers."""
+        result = Experiment(ising_model(3, 1.0)).run(
+            methods=("cafqa", "clapton"), config=ENGINE, vqe_iterations=5,
+            evaluate_tiers=False)
+        assert set(result.traces) == {"cafqa", "clapton"}
+        assert all(len(t.history) == 5 for t in result.traces.values())
+        assert result.evaluations == {}
 
     def test_json_round_trip(self):
         h = ising_model(3, 1.0)

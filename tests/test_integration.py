@@ -26,7 +26,7 @@ from repro import (
 )
 from repro.core import ClaptonLoss, transform_hamiltonian
 from repro.densesim import noisy_energy
-from repro.experiments import SMOKE_ENGINE, compare_initializations
+from repro.experiments import SMOKE_ENGINE, Experiment
 from repro.noise import CliffordNoiseModel
 from repro.optim import EngineConfig
 
@@ -39,21 +39,21 @@ class TestEndToEndPhysics:
     def test_full_paper_flow_on_nairobi(self):
         """Transpile -> optimize 3 methods -> evaluate 3 tiers -> VQE."""
         hamiltonian = ising_model(4, 0.5)
-        problem = VQEProblem.from_backend(hamiltonian, FakeNairobi())
-        row = compare_initializations("ising", hamiltonian, problem,
-                                      config=TINY_ENGINE, vqe_iterations=15)
-        e0 = row.e0
+        result = Experiment(hamiltonian, backend=FakeNairobi(),
+                            name="ising").run(config=TINY_ENGINE,
+                                              vqe_iterations=15)
+        e0 = result.e0
         for method in ("cafqa", "ncafqa", "clapton"):
-            ev = row.evaluations[method]
+            ev = result.evaluations[method]
             # physical sanity across the whole stack
             assert e0 <= ev.noiseless + 1e-9
             assert ev.device_model >= e0 - 1e-9
             assert ev.device_model <= hamiltonian.mixed_state_energy() + 1.0
-            trace = row.vqe[method]
+            trace = result.traces[method]
             assert trace.final_energy >= e0 - 1e-9
         # eta computable and finite
-        assert np.isfinite(row.eta_initial("cafqa"))
-        assert np.isfinite(row.eta_final("ncafqa"))
+        assert np.isfinite(result.eta_initial("cafqa"))
+        assert np.isfinite(result.eta_final("ncafqa"))
 
     def test_clapton_loss_predicts_clifford_tier(self):
         """The engine's L_N at the winning genome equals the clifford-model

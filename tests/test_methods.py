@@ -19,6 +19,7 @@ from repro.campaigns import (
 from repro.core import CafqaLoss, VQEProblem
 from repro.experiments import Experiment, ExperimentResult
 from repro.hamiltonians import (
+    benchmark_families,
     expand_benchmarks,
     get_benchmark,
     ising_model,
@@ -37,6 +38,7 @@ from repro.methods import (
     resolve_methods,
     unregister_method,
 )
+from repro.mitigation import parse_mitigation
 from repro.noise import NoiseModel
 from repro.optim import EngineConfig
 
@@ -361,6 +363,8 @@ class TestBenchmarkRegistry:
             == ("ising", {"n": 4, "J": 0.5})
         assert parse_benchmark_spec("molecule:name=LiH,l=1.5") \
             == ("molecule", {"name": "LiH", "l": 1.5})
+        assert parse_benchmark_spec("maxcut:weighted=true,p=0.3") \
+            == ("maxcut", {"weighted": 1, "p": 0.3})
         with pytest.raises(ValueError, match="key=value"):
             get_benchmark("ising:n4")
         with pytest.raises(ValueError, match="accepted"):
@@ -390,6 +394,41 @@ class TestBenchmarkRegistry:
             assert task.build_experiment().hamiltonian.num_qubits == 3
         finally:
             unregister_benchmark("testheis")
+
+    def test_duplicate_family_refused_unless_replace(self):
+        def build(n: int = 3):
+            return ising_model(n, 1.0)
+
+        register_benchmark(build, name="testdup")
+        try:
+            with pytest.raises(ValueError, match="already registered"):
+                register_benchmark(build, name="testdup")
+            register_benchmark(build, name="testdup", description="v2",
+                               replace=True)
+            assert benchmark_families()["testdup"].description == "v2"
+        finally:
+            unregister_benchmark("testdup")
+        assert "testdup" not in benchmark_families()
+
+    @pytest.mark.parametrize("name", ["bad:name", "bad,name", "bad=name"])
+    def test_family_name_with_spec_separator_refused(self, name):
+        with pytest.raises(ValueError, match="may not contain"):
+            register_benchmark(lambda n=3: ising_model(n, 1.0), name=name)
+        assert name not in benchmark_families()
+
+    @pytest.mark.parametrize("parse, stage, what, folds_of", [
+        (parse_benchmark_spec, "ising", "benchmark", lambda p: p[1]["folds"]),
+        (parse_mitigation, "zne", "mitigation", lambda p: p.folds),
+    ], ids=["benchmark", "mitigation"])
+    def test_specs_share_one_key_value_parser(self, parse, stage, what,
+                                              folds_of):
+        folds = folds_of(parse(f"{stage}:folds=5"))
+        assert folds == 5 and isinstance(folds, int)
+        with pytest.raises(ValueError) as err:
+            parse(f"{stage}:folds")
+        assert err.value.args[0] == (
+            f"bad {what} parameter 'folds' in '{stage}:folds'; expected "
+            f"key=value")
 
     def test_suites_expand_in_campaigns(self):
         assert expand_benchmarks(["suite:physics"]) \
